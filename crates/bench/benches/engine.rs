@@ -1,15 +1,15 @@
-//! Timing benches for the DES engine: pending-event-set implementations
-//! and the RNG streams. Plain `std::time` harness — see
+//! Timing benches for the DES engine: the pending-event set and the RNG
+//! streams. Plain `std::time` harness — see
 //! `erapid_bench::timing` (the workspace builds offline, so no external
 //! bench framework).
 
-use desim::queue::{BinaryHeapQueue, CalendarQueue, EventQueue};
+use desim::queue::BinaryHeapQueue;
 use desim::rng::Pcg32;
 use erapid_bench::timing::bench;
 use std::hint::black_box;
 
 /// Classic hold model: steady-state queue churn at a fixed population.
-fn hold<Q: EventQueue<u64>>(q: &mut Q, ops: u64) {
+fn hold(q: &mut BinaryHeapQueue<u64>, ops: u64) {
     let mut rng = Pcg32::stream(1, 1);
     let mut now = 0u64;
     for i in 0..ops {
@@ -26,21 +26,6 @@ fn bench_queues() {
             20,
             || {
                 let mut q = BinaryHeapQueue::new();
-                for i in 0..population {
-                    q.insert(i as u64, i as u64);
-                }
-                q
-            },
-            |mut q| {
-                hold(&mut q, 10_000);
-                q.len()
-            },
-        );
-        bench(
-            &format!("event_queue_hold/calendar/{population}"),
-            20,
-            || {
-                let mut q = CalendarQueue::new(256, 4);
                 for i in 0..population {
                     q.insert(i as u64, i as u64);
                 }

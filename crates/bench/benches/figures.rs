@@ -6,7 +6,8 @@
 use desim::phase::PhasePlan;
 use erapid_bench::timing::bench;
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::run_once;
+use erapid_core::runner::RunPoint;
+use std::num::NonZeroUsize;
 use traffic::pattern::TrafficPattern;
 
 fn quick_plan(window: u64) -> PhasePlan {
@@ -23,7 +24,9 @@ fn main() {
                 |()| {
                     let cfg = SystemConfig::paper64(mode);
                     let plan = quick_plan(cfg.schedule.window);
-                    run_once(cfg, pattern.clone(), 0.5, plan)
+                    RunPoint::new(cfg, pattern.clone(), 0.5, plan)
+                        .execute(NonZeroUsize::MIN)
+                        .result
                 },
             );
         }

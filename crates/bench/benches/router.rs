@@ -26,6 +26,7 @@ fn make_router(ports: u16) -> Router {
 /// returning credits immediately.
 fn drive(router: &mut Router, cycles: u64, ports: u16) {
     let mut id = 0u64;
+    let mut out = Vec::new();
     for now in 0..cycles {
         for p in 0..ports {
             if router.can_accept(PortId(p), (now % 4) as u8)
@@ -45,7 +46,9 @@ fn drive(router: &mut Router, cycles: u64, ports: u16) {
                 }
             }
         }
-        for t in router.step(now) {
+        out.clear();
+        router.step_into(now, &mut out);
+        for &t in &out {
             router.credit(t.out_port, t.out_vc);
             black_box(t.flit.seq);
         }

@@ -21,7 +21,7 @@
 
 use erapid_bench::BenchConfig;
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{default_plan, TraceSource};
+use erapid_core::experiment::{default_plan, RunResult};
 use erapid_core::runner::{run_points, RunPoint};
 use netstats::table::Table;
 use photonics::bitrate::RateLadder;
@@ -42,6 +42,14 @@ fn fmt_run(r: &erapid_core::experiment::RunResult) -> Vec<String> {
 
 /// Runs one ablation table: labelled configurations, all at one (pattern,
 /// load), executed in parallel, printed in input order.
+/// The headline results of `points`, run on `threads` workers.
+fn results(threads: NonZeroUsize, points: Vec<RunPoint>) -> Vec<RunResult> {
+    run_points(threads, NonZeroUsize::MIN, points)
+        .into_iter()
+        .map(|o| o.result)
+        .collect()
+}
+
 fn table(
     threads: NonZeroUsize,
     mut t: Table,
@@ -54,16 +62,10 @@ fn table(
         .into_iter()
         .map(|(_, cfg)| {
             let plan = default_plan(cfg.schedule.window);
-            RunPoint {
-                cfg,
-                pattern: pattern.clone(),
-                load,
-                plan,
-                source: TraceSource::Generate,
-            }
+            RunPoint::new(cfg, pattern.clone(), load, plan)
         })
         .collect();
-    let results = run_points(threads, points);
+    let results = results(threads, points);
     for (label, r) in labels.into_iter().zip(&results) {
         let mut row = vec![label];
         row.extend(fmt_run(r));
@@ -231,17 +233,11 @@ fn main() {
                     cfg.power_model =
                         photonics::power::LinkPowerModel::paper_table().with_idle_fraction(frac);
                     let plan = default_plan(cfg.schedule.window);
-                    RunPoint {
-                        cfg,
-                        pattern: TrafficPattern::Complement,
-                        load,
-                        plan,
-                        source: TraceSource::Generate,
-                    }
+                    RunPoint::new(cfg, TrafficPattern::Complement, load, plan)
                 })
         })
         .collect();
-    let results = run_points(threads, points);
+    let results = results(threads, points);
     let mut t = Table::new(vec![
         "idle fraction",
         "NP-NB power (complement)",

@@ -36,10 +36,8 @@
 
 use erapid_bench::{git_sha, BenchConfig};
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{
-    run_once_traced, run_once_traced_sharded, RunResult, RunTrace, TraceSource,
-};
-use erapid_core::runner::{run_points_traced_sharded, RunPoint};
+use erapid_core::experiment::{RunResult, RunTrace};
+use erapid_core::runner::{run_points, RunPoint};
 use erapid_telemetry::TraceConfig;
 use erapid_tune::{
     choose, improves, pareto_front, ControllerSpec, OperatingPoint, SweepOutcome, TuneGrid,
@@ -112,14 +110,9 @@ fn point(
     cfg.alloc.b_max = op.b_max_milli as f64 / 1000.0;
     cfg.schedule = LockStepSchedule::new(op.r_w);
     let plan = bench.plan(cfg.schedule.window);
-    RunPoint {
-        cfg,
-        // Inert under a scenario (the engine preempts the generators).
-        pattern: TrafficPattern::Uniform,
-        load: LOAD,
-        plan,
-        source: TraceSource::Generate,
-    }
+    // The pattern is inert under a scenario (the engine preempts the
+    // generators).
+    RunPoint::new(cfg, TrafficPattern::Uniform, LOAD, plan)
 }
 
 /// As [`point`], with the online threshold controller live, seeded at `op`.
@@ -226,8 +219,9 @@ fn smoke(bench: &BenchConfig) -> ! {
         let mut outcomes = Vec::new();
         for op in candidates(mode, &grid_points) {
             let p = point(bench, spec, mode, op, true);
-            let (seq_r, seq_t) = run_once_traced(p.cfg.clone(), p.pattern.clone(), p.load, p.plan);
-            let (shard_r, _) = run_once_traced_sharded(p.cfg, p.pattern, p.load, p.plan, two);
+            let seq = p.clone().execute(NonZeroUsize::MIN);
+            let (seq_r, seq_t) = (seq.result, seq.trace);
+            let shard_r = p.execute(two).result;
             if seq_r != shard_r {
                 fail(format!(
                     "{}: sequential != board-sharded result",
@@ -249,8 +243,8 @@ fn smoke(bench: &BenchConfig) -> ! {
         }
         // Online-controller leg: the adaptive config must shard identically.
         let cp = controller_point(bench, spec, mode, baseline(mode), true);
-        let (cs_r, _) = run_once_traced(cp.cfg.clone(), cp.pattern.clone(), cp.load, cp.plan);
-        let (ch_r, _) = run_once_traced_sharded(cp.cfg, cp.pattern, cp.load, cp.plan, two);
+        let cs_r = cp.clone().execute(NonZeroUsize::MIN).result;
+        let ch_r = cp.execute(two).result;
         if cs_r != ch_r {
             fail("controller-enabled: sequential != board-sharded result".into());
         }
@@ -331,7 +325,7 @@ fn main() {
         })
         .map(|(m, s, op)| point(&bench, s, m, op, false))
         .collect();
-    let sweep_runs = run_points_traced_sharded(bench.threads, bench.point_threads, sweep_points);
+    let sweep_runs = run_points(bench.threads, bench.point_threads, sweep_points);
 
     // Join + choose per workload.
     struct Tuned<'a> {
@@ -351,7 +345,7 @@ fn main() {
         let outcomes: Vec<SweepOutcome> = cands
             .iter()
             .zip(runs)
-            .filter_map(|(&op, (r, t))| join(op, r, t))
+            .filter_map(|(&op, o)| join(op, &o.result, &o.trace))
             .collect();
         let chosen = choose(&outcomes).ok().cloned();
         if chosen.is_none() {
@@ -382,11 +376,12 @@ fn main() {
             controller_point(&bench, t.spec, t.mode, seed, false)
         })
         .collect();
-    let ctl_runs = run_points_traced_sharded(bench.threads, bench.point_threads, ctl_points);
+    let ctl_runs = run_points(bench.threads, bench.point_threads, ctl_points);
 
     let mut improved_workloads = 0;
     let mut workload_json: Vec<String> = Vec::new();
-    for (t, (ctl_r, ctl_t)) in tuned.iter().zip(&ctl_runs) {
+    for (t, ctl) in tuned.iter().zip(&ctl_runs) {
+        let (ctl_r, ctl_t) = (&ctl.result, &ctl.trace);
         let name = format!("{} {}", t.mode.name(), t.spec.name());
         let base = t.outcomes.first();
         let front = pareto_front(&t.outcomes);

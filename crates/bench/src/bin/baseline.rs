@@ -11,9 +11,11 @@
 use emesh::{run_mesh, MeshConfig};
 use erapid_bench::BenchConfig;
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{default_plan, run_once};
+use erapid_core::experiment::default_plan;
 use erapid_core::runner::parallel_map;
+use erapid_core::runner::RunPoint;
 use netstats::table::Table;
+use std::num::NonZeroUsize;
 use traffic::pattern::TrafficPattern;
 
 fn main() {
@@ -40,7 +42,9 @@ fn main() {
             let cfg = SystemConfig::paper64(NetworkMode::PB);
             let rate = cfg.capacity().injection_rate(load);
             let plan = default_plan(cfg.schedule.window);
-            let er = run_once(cfg, pattern.clone(), load, plan);
+            let er = RunPoint::new(cfg, pattern.clone(), load, plan)
+                .execute(NonZeroUsize::MIN)
+                .result;
             let mesh = run_mesh(MeshConfig::paper64(), pattern.clone(), rate, plan);
             vec![
                 format!("{load:.1}"),

@@ -11,8 +11,10 @@
 //! ```
 
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{default_plan, run_once};
+use erapid_core::experiment::default_plan;
+use erapid_core::runner::RunPoint;
 use netstats::table::Table;
+use std::num::NonZeroUsize;
 use traffic::pattern::TrafficPattern;
 
 fn main() {
@@ -42,7 +44,9 @@ fn main() {
             for load in [0.3, 0.6, 0.9] {
                 let cfg = SystemConfig::paper64(*mode);
                 let plan = default_plan(cfg.schedule.window);
-                let r = run_once(cfg, pattern.clone(), load, plan);
+                let r = RunPoint::new(cfg, pattern.clone(), load, plan)
+                    .execute(NonZeroUsize::MIN)
+                    .result;
                 let rest = (r.latency - r.src_path - r.tx_wait).max(0.0);
                 t.row(vec![
                     mode.name().to_string(),

@@ -30,8 +30,8 @@
 use desim::phase::PhasePlan;
 use erapid_bench::{git_sha, BenchConfig};
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{default_plan, TraceSource};
-use erapid_core::runner::{available_threads, run_points_timed, RunPoint};
+use erapid_core::experiment::default_plan;
+use erapid_core::runner::{available_threads, run_points, RunPoint};
 use erapid_core::system::PhaseTimers;
 use erapid_core::System;
 use std::num::NonZeroUsize;
@@ -71,13 +71,8 @@ fn smoke_points() -> Vec<RunPoint> {
         for pattern in [TrafficPattern::Uniform, TrafficPattern::Complement] {
             let cfg = SystemConfig::paper64(mode);
             let w = cfg.schedule.window;
-            points.push(RunPoint {
-                cfg,
-                pattern,
-                load: 0.5,
-                plan: PhasePlan::new(w, 3 * w).with_max_cycles(5 * w),
-                source: TraceSource::Generate,
-            });
+            let plan = PhasePlan::new(w, 3 * w).with_max_cycles(5 * w);
+            points.push(RunPoint::new(cfg, pattern, 0.5, plan));
         }
     }
     points
@@ -87,9 +82,9 @@ fn smoke_points() -> Vec<RunPoint> {
 fn measure_smoke() -> (f64, u64) {
     let one = NonZeroUsize::new(1).unwrap();
     let t0 = Instant::now();
-    let results = run_points_timed(one, smoke_points());
+    let results = run_points(one, one, smoke_points());
     let wall = t0.elapsed().as_secs_f64();
-    let cycles: u64 = results.iter().map(|(r, _)| r.cycles).sum();
+    let cycles: u64 = results.iter().map(|o| o.result.cycles).sum();
     (cycles as f64 / wall.max(1e-9), cycles)
 }
 
@@ -102,13 +97,13 @@ fn measure_intra_point(workers: NonZeroUsize) -> (f64, f64, f64) {
         .into_iter()
         .max_by_key(|p| p.estimated_cost())
         .expect("smoke grid is non-empty");
-    let t0 = Instant::now();
-    let seq = point.clone().run_with(NonZeroUsize::MIN);
-    let seq_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let sharded = point.run_with(workers);
-    let sharded_s = t1.elapsed().as_secs_f64();
-    assert_eq!(seq, sharded, "sharded point diverged from sequential");
+    let seq = point.clone().execute(NonZeroUsize::MIN);
+    let sharded = point.execute(workers);
+    assert_eq!(
+        seq.result, sharded.result,
+        "sharded point diverged from sequential"
+    );
+    let (seq_s, sharded_s) = (seq.wall.as_secs_f64(), sharded.wall.as_secs_f64());
     (seq_s, sharded_s, seq_s / sharded_s.max(1e-9))
 }
 
@@ -198,8 +193,10 @@ fn profile_representative() -> (PhaseTimers, u64) {
     let plan = default_plan(cfg.schedule.window);
     let mut sys = System::new(cfg, TrafficPattern::Complement, 0.5, plan);
     let mut timers = PhaseTimers::default();
-    let cycles = sys.run_profiled(&mut timers);
-    (timers, cycles)
+    while sys.now() < plan.max_cycles && !sys.metrics().tracker.complete(&plan, sys.now()) {
+        sys.step_profiled(&mut timers);
+    }
+    (timers, sys.now())
 }
 
 /// Route-phase share of total cycle time.
@@ -295,13 +292,7 @@ fn main() {
             .map(|(mode, load)| {
                 let cfg = SystemConfig::paper64(mode);
                 let plan = default_plan(cfg.schedule.window);
-                RunPoint {
-                    cfg,
-                    pattern: pattern.clone(),
-                    load,
-                    plan,
-                    source: TraceSource::Generate,
-                }
+                RunPoint::new(cfg, pattern.clone(), load, plan)
             })
             .collect();
         let labels: Vec<(&'static str, f64, u128)> = NetworkMode::all()
@@ -312,15 +303,15 @@ fn main() {
             .collect();
 
         let t0 = Instant::now();
-        let seq = run_points_timed(one, points.clone());
+        let seq = run_points(one, one, points.clone());
         let sequential_s = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let par = run_points_timed(cfg.threads, points);
+        let par = run_points(cfg.threads, one, points);
         let parallel_s = t1.elapsed().as_secs_f64();
 
-        let seq_results: Vec<_> = seq.iter().map(|(r, _)| *r).collect();
-        let par_results: Vec<_> = par.iter().map(|(r, _)| *r).collect();
+        let seq_results: Vec<_> = seq.iter().map(|o| o.result).collect();
+        let par_results: Vec<_> = par.iter().map(|o| o.result).collect();
         assert_eq!(
             seq_results, par_results,
             "parallel results diverged from sequential for {name}"
@@ -333,7 +324,7 @@ fn main() {
         let point_rows = labels
             .iter()
             .zip(&seq)
-            .map(|(&(mode, load, cost), (_, wall))| (mode, load, cost, wall.as_secs_f64()))
+            .map(|(&(mode, load, cost), o)| (mode, load, cost, o.wall.as_secs_f64()))
             .collect();
         panels.push(PanelReport {
             name,

@@ -30,11 +30,9 @@
 
 use erapid_bench::{git_sha, BenchConfig};
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{
-    run_once_recorded, run_once_replayed, RunResult, RunTrace, TraceSource,
-};
+use erapid_core::experiment::{RunResult, RunTrace};
 use erapid_core::metrics::PacketDelivery;
-use erapid_core::runner::{run_points_traced, RunPoint};
+use erapid_core::runner::{run_points, RunPoint};
 use erapid_telemetry::TraceConfig;
 use netstats::table::Table;
 use std::fmt::Write as _;
@@ -61,13 +59,7 @@ fn replay_point(bench: &BenchConfig, trace: &Arc<InjectionTrace>, mode: NetworkM
     cfg.packet_log = true;
     cfg.trace = TraceConfig::on();
     let plan = bench.plan(cfg.schedule.window);
-    RunPoint {
-        cfg,
-        pattern: PATTERN,
-        load: LOAD,
-        plan,
-        source: TraceSource::Replay(Arc::clone(trace)),
-    }
+    RunPoint::replay(cfg, Arc::clone(trace), plan)
 }
 
 /// Per-packet latency of every delivered packet, indexed by packet id.
@@ -271,9 +263,12 @@ fn main() {
     );
 
     // 1. Record the workload.
-    let cfg = recording_config();
+    let mut cfg = recording_config();
+    cfg.record_injections = true;
     let plan = bench.plan(cfg.schedule.window);
-    let (recorded_result, mut trace) = run_once_recorded(cfg, PATTERN, LOAD, plan);
+    let recorded = RunPoint::new(cfg, PATTERN, LOAD, plan).execute(NonZeroUsize::MIN);
+    let recorded_result = recorded.result;
+    let mut trace = recorded.recording.expect("recording is on");
     trace.meta.git_sha = sha.clone();
     println!(
         "recorded {} injections over {} cycles (checksum {:016x})",
@@ -304,11 +299,9 @@ fn main() {
 
     // 3. Conformance: self-replay reproduces the recording byte-identically.
     let trace = Arc::new(reloaded);
-    let self_replay = run_once_replayed(
-        recording_config(),
-        &trace,
-        bench.plan(recording_config().schedule.window),
-    );
+    let self_replay = RunPoint::replay(recording_config(), Arc::clone(&trace), plan)
+        .execute(NonZeroUsize::MIN)
+        .result;
     assert_eq!(
         self_replay, recorded_result,
         "replay against the recording configuration must reproduce the RunResult byte-identically"
@@ -322,24 +315,25 @@ fn main() {
         .collect();
     let seq_points = points.clone();
     let window = recording_config().schedule.window;
-    let replayed = run_points_traced(bench.threads, points);
+    let one = NonZeroUsize::MIN;
+    let replayed = run_points(bench.threads, bench.point_threads, points);
     let diffs = {
-        let base = latency_by_id(&replayed[0].1.packets);
+        let base = latency_by_id(&replayed[0].trace.packets);
         NetworkMode::all()
             .iter()
             .zip(&replayed)
-            .map(|(&m, (r, t))| diff_mode(m, *r, &base, t, window))
+            .map(|(&m, o)| diff_mode(m, o.result, &base, &o.trace, window))
             .collect::<Vec<_>>()
     };
     let report = report_json(&sha, bench.quick, &trace, &diffs);
 
-    let seq_replayed = run_points_traced(NonZeroUsize::MIN, seq_points);
+    let seq_replayed = run_points(one, one, seq_points);
     let seq_diffs = {
-        let base = latency_by_id(&seq_replayed[0].1.packets);
+        let base = latency_by_id(&seq_replayed[0].trace.packets);
         NetworkMode::all()
             .iter()
             .zip(&seq_replayed)
-            .map(|(&m, (r, t))| diff_mode(m, *r, &base, t, window))
+            .map(|(&m, o)| diff_mode(m, o.result, &base, &o.trace, window))
             .collect::<Vec<_>>()
     };
     let seq_report = report_json(&sha, bench.quick, &trace, &seq_diffs);

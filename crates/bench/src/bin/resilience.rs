@@ -37,7 +37,7 @@
 
 use erapid_bench::{git_sha, BenchConfig};
 use erapid_core::config::{ControlPlane, NetworkMode, SystemConfig};
-use erapid_core::experiment::{RunResult, TraceSource};
+use erapid_core::experiment::RunResult;
 use erapid_core::faults::{FaultKind, FaultPlan};
 use erapid_core::runner::{run_points, RunPoint};
 use erapid_workloads::ScenarioSpec;
@@ -133,13 +133,7 @@ fn point(
     cfg.control_plane = control;
     cfg.faults = faults;
     let plan = bench.plan(cfg.schedule.window);
-    RunPoint {
-        cfg,
-        pattern: TrafficPattern::Complement,
-        load: LOAD,
-        plan,
-        source: TraceSource::Generate,
-    }
+    RunPoint::new(cfg, TrafficPattern::Complement, LOAD, plan)
 }
 
 /// As [`point`], but injecting a hostile workload scenario instead of the
@@ -247,7 +241,10 @@ fn main() {
             points.push(point(&bench, mode, s.control, s.faults.clone()));
         }
     }
-    let results = run_points(bench.threads, points);
+    let results: Vec<RunResult> = run_points(bench.threads, bench.point_threads, points)
+        .into_iter()
+        .map(|o| o.result)
+        .collect();
     let (baselines, faulted) = results.split_at(planes.len() * modes.len());
     let baseline_for = |control: ControlPlane, mode_idx: usize| -> &RunResult {
         let plane_idx = match control {
@@ -338,7 +335,10 @@ fn main() {
             hpoints.push(hostile_point(&bench, w, s.control, s.faults.clone()));
         }
     }
-    let hresults = run_points(bench.threads, hpoints);
+    let hresults: Vec<RunResult> = run_points(bench.threads, bench.point_threads, hpoints)
+        .into_iter()
+        .map(|o| o.result)
+        .collect();
     let (hbase, hfaulted) = hresults.split_at(hostile.len() * planes.len());
     let hbaseline = |wi: usize, control: ControlPlane| -> &RunResult {
         let plane_idx = match control {

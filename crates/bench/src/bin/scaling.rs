@@ -30,8 +30,8 @@
 
 use erapid_bench::{git_sha, BenchConfig};
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{default_plan, TraceSource};
-use erapid_core::runner::{available_threads, run_points_timed_sharded, RunPoint};
+use erapid_core::experiment::default_plan;
+use erapid_core::runner::{available_threads, run_points, RunPoint};
 use erapid_core::system::PhaseTimers;
 use erapid_core::System;
 use netstats::table::Table;
@@ -57,13 +57,7 @@ fn config(boards: u16, mode: NetworkMode) -> SystemConfig {
 fn point(boards: u16, mode: NetworkMode, pattern: &TrafficPattern, load: f64) -> RunPoint {
     let cfg = config(boards, mode);
     let plan = default_plan(cfg.schedule.window);
-    RunPoint {
-        cfg,
-        pattern: pattern.clone(),
-        load,
-        plan,
-        source: TraceSource::Generate,
-    }
+    RunPoint::new(cfg, pattern.clone(), load, plan)
 }
 
 /// Peak resident set size in kB (`VmHWM` from /proc, Linux only; 0
@@ -163,9 +157,8 @@ impl Speedup {
 
 fn speedup(boards: u16, workers: NonZeroUsize) -> Speedup {
     let run = |pt: NonZeroUsize| {
-        let start = std::time::Instant::now();
-        let r = point(boards, NetworkMode::PB, &TrafficPattern::Complement, LOAD).run_with(pt);
-        (r, start.elapsed().as_secs_f64())
+        let out = point(boards, NetworkMode::PB, &TrafficPattern::Complement, LOAD).execute(pt);
+        (out.result, out.wall.as_secs_f64())
     };
     let (seq, seq_wall_s) = run(NonZeroUsize::MIN);
     let (sharded, sharded_wall_s) = run(workers);
@@ -187,7 +180,10 @@ fn profile(boards: u16) -> BoardProfile {
     let mut sys = System::new(cfg, TrafficPattern::Complement, LOAD, plan);
     let memory_bytes = sys.approx_memory_bytes();
     let mut timers = PhaseTimers::default();
-    let cycles = sys.run_profiled(&mut timers);
+    while sys.now() < plan.max_cycles && !sys.metrics().tracker.complete(&plan, sys.now()) {
+        sys.step_profiled(&mut timers);
+    }
+    let cycles = sys.now();
     BoardProfile {
         boards,
         cycles,
@@ -219,7 +215,10 @@ fn main() {
                 .map(|mode| point(*boards, mode, pattern, LOAD))
         })
         .collect();
-    let timed = run_points_timed_sharded(bench.threads, bench.point_threads, points);
+    let timed: Vec<_> = run_points(bench.threads, bench.point_threads, points)
+        .into_iter()
+        .map(|o| (o.result, o.wall))
+        .collect();
 
     let mut t = Table::new(vec![
         "boards",

@@ -31,8 +31,7 @@
 
 use erapid_bench::{git_sha, rank_worst_offenders, BenchConfig};
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{run_once_traced, run_once_traced_sharded, TraceSource};
-use erapid_core::runner::{run_points_traced, run_points_traced_sharded, RunPoint};
+use erapid_core::runner::{run_points, RunPoint};
 use erapid_telemetry::{counter_column, TraceConfig};
 use erapid_workloads::ScenarioSpec;
 use netstats::table::Table;
@@ -75,15 +74,9 @@ fn point(bench: &BenchConfig, spec: &ScenarioSpec, mode: NetworkMode, small: boo
         cfg.seed = seed;
     }
     let plan = bench.plan(cfg.schedule.window);
-    RunPoint {
-        cfg,
-        // The pattern is inert under a scenario (the engine preempts the
-        // generators); Uniform keeps construction cheap.
-        pattern: TrafficPattern::Uniform,
-        load: LOAD,
-        plan,
-        source: TraceSource::Generate,
-    }
+    // The pattern is inert under a scenario (the engine preempts the
+    // generators); Uniform keeps construction cheap.
+    RunPoint::new(cfg, TrafficPattern::Uniform, LOAD, plan)
 }
 
 /// `--smoke`: the CI gate. One small P-B point per scenario, three ways:
@@ -96,12 +89,12 @@ fn smoke(bench: &BenchConfig) -> ! {
         .iter()
         .map(|s| point(bench, s, NetworkMode::PB, true))
         .collect();
-    let fanned = run_points_traced(two, points.clone());
+    let fanned = run_points(two, NonZeroUsize::MIN, points.clone());
     let mut failures = 0;
-    for (spec, (p, (fan_r, _))) in specs.iter().zip(points.into_iter().zip(fanned)) {
-        let (seq_r, _) = run_once_traced(p.cfg.clone(), p.pattern.clone(), p.load, p.plan);
-        let (shard_r, _) =
-            run_once_traced_sharded(p.cfg.clone(), p.pattern.clone(), p.load, p.plan, two);
+    for (spec, (p, fan)) in specs.iter().zip(points.into_iter().zip(fanned)) {
+        let fan_r = fan.result;
+        let seq_r = p.clone().execute(NonZeroUsize::MIN).result;
+        let shard_r = p.execute(two).result;
         let mut fail = |msg: &str| {
             eprintln!("FAIL [{}]: {msg}", spec.name());
             failures += 1;
@@ -180,7 +173,7 @@ fn main() {
         .flat_map(|s| modes.iter().map(move |&m| (s, m)))
         .map(|(s, m)| point(&bench, s, m, false))
         .collect();
-    let results = run_points_traced_sharded(bench.threads, bench.point_threads, points);
+    let results = run_points(bench.threads, bench.point_threads, points);
 
     let mut scenario_json: Vec<String> = Vec::new();
     let mut pb_survival: Vec<(f64, &'static str)> = Vec::new();
@@ -199,7 +192,8 @@ fn main() {
         ])
         .with_title(format!("[{}] {:?}", spec.name(), spec.kind));
         let mut mode_json: Vec<String> = Vec::new();
-        for (mi, (r, trace)) in rows.iter().enumerate() {
+        for (mi, out) in rows.iter().enumerate() {
+            let (r, trace) = (&out.result, &out.trace);
             let mode = modes[mi];
             let (retunes_w, _, _) =
                 window_digest(&trace.counter_names, &trace.windows, "dpm_retunes");

@@ -8,7 +8,7 @@
 
 use erapid_bench::BenchConfig;
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{default_plan, TraceSource};
+use erapid_core::experiment::default_plan;
 use erapid_core::runner::{run_points, RunPoint};
 use netstats::table::Table;
 use reconfig::stages::ProtocolTiming;
@@ -107,25 +107,16 @@ fn main() {
                 cfg.seed = seed;
             }
             let plan = default_plan(cfg.schedule.window);
-            (
-                mode,
-                load,
-                RunPoint {
-                    cfg,
-                    pattern: pattern.clone(),
-                    load,
-                    plan,
-                    source: TraceSource::Generate,
-                },
-            )
+            (mode, load, RunPoint::new(cfg, pattern.clone(), load, plan))
         })
         .collect();
     let labels: Vec<(NetworkMode, f64)> = points.iter().map(|(m, l, _)| (*m, *l)).collect();
     let results = run_points(
         bench.threads,
+        bench.point_threads,
         points.into_iter().map(|(_, _, p)| p).collect(),
     );
-    for ((mode, load), r) in labels.into_iter().zip(results) {
+    for ((mode, load), r) in labels.into_iter().zip(results.iter().map(|o| o.result)) {
         t.row(vec![
             mode.name().to_string(),
             format!("{load:.2}"),

@@ -25,7 +25,7 @@
 //! overriding the env knobs — for debugging and for timing baselines.
 
 use erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_core::experiment::{default_plan, paper_loads, run_once, RunResult, TraceSource};
+use erapid_core::experiment::{default_plan, paper_loads, RunResult};
 use erapid_core::runner::{self, RunPoint};
 use netstats::csv::Csv;
 use netstats::table::Table;
@@ -155,19 +155,15 @@ impl BenchConfig {
     pub fn point(&self, mode: NetworkMode, pattern: &TrafficPattern, load: f64) -> RunPoint {
         let cfg = SystemConfig::paper64(mode);
         let plan = self.plan(cfg.schedule.window);
-        RunPoint {
-            cfg,
-            pattern: pattern.clone(),
-            load,
-            plan,
-            source: TraceSource::Generate,
-        }
+        RunPoint::new(cfg, pattern.clone(), load, plan)
     }
 
     /// Runs one (mode, pattern, load) point on the paper's 64-node system,
     /// board-sharded onto `point_threads` workers (1 = sequential engine).
     pub fn run_point(&self, mode: NetworkMode, pattern: &TrafficPattern, load: f64) -> RunResult {
-        self.point(mode, pattern, load).run_with(self.point_threads)
+        self.point(mode, pattern, load)
+            .execute(self.point_threads)
+            .result
     }
 
     /// Runs the full panel for one pattern (the 4 curves of one figure
@@ -190,7 +186,10 @@ impl BenchConfig {
             .flat_map(|&mode| loads.iter().map(move |&l| (mode, l)))
             .map(|(mode, l)| self.point(mode, pattern, l))
             .collect();
-        let mut flat = runner::run_points_sharded(self.threads, self.point_threads, points);
+        let mut flat: Vec<RunResult> = runner::run_points(self.threads, self.point_threads, points)
+            .into_iter()
+            .map(|o| o.result)
+            .collect();
         let mut results = Vec::new();
         for &mode in modes.iter().rev() {
             let series: Vec<RunResult> = flat.split_off(flat.len() - loads.len());
@@ -238,8 +237,9 @@ pub fn run_panel_sequential(cfg: &BenchConfig, name: &str, pattern: &TrafficPatt
         let series: Vec<RunResult> = loads
             .iter()
             .map(|&l| {
-                let p = cfg.point(mode, pattern, l);
-                run_once(p.cfg, p.pattern, p.load, p.plan)
+                cfg.point(mode, pattern, l)
+                    .execute(NonZeroUsize::MIN)
+                    .result
             })
             .collect();
         results.push((mode, series));

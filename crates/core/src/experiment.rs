@@ -1,13 +1,13 @@
-//! Experiment runner: single runs and load sweeps.
+//! Experiment vocabulary: what one run reports and where its traffic comes
+//! from. Points are executed by [`crate::runner::RunPoint::execute`].
 //!
 //! §4's methodology: warm up, label packets injected during a measurement
 //! interval, run until the labelled packets drain, report throughput
 //! (packets/node/cycle), mean latency (cycles) and power (mW). The load
 //! axis is normalised to the uniform-traffic capacity `N_c`, swept 0.1–0.9.
 
-use crate::config::{NetworkMode, SystemConfig};
+use crate::config::SystemConfig;
 use crate::metrics::PacketDelivery;
-use crate::system::System;
 use desim::phase::PhasePlan;
 use desim::Cycle;
 use erapid_telemetry::{HistogramSummary, TraceRecord, WindowSnapshot};
@@ -117,93 +117,6 @@ pub struct RunTrace {
     pub packets: Vec<PacketDelivery>,
 }
 
-/// Runs one configuration at one load point.
-pub fn run_once(
-    cfg: SystemConfig,
-    pattern: TrafficPattern,
-    load: f64,
-    plan: PhasePlan,
-) -> RunResult {
-    run_once_traced(cfg, pattern, load, plan).0
-}
-
-/// Runs one configuration at one load point, returning the trace the
-/// system recorded alongside the headline numbers. Tracing observes the
-/// run without perturbing it: the [`RunResult`] is byte-identical whether
-/// `cfg.trace` is on or off.
-pub fn run_once_traced(
-    cfg: SystemConfig,
-    pattern: TrafficPattern,
-    load: f64,
-    plan: PhasePlan,
-) -> (RunResult, RunTrace) {
-    run_once_traced_sharded(cfg, pattern, load, plan, std::num::NonZeroUsize::MIN)
-}
-
-/// As [`run_once`], with the cycle engine sharded across boards onto
-/// `point_threads` workers (see [`System::run_sharded`]). Byte-identical
-/// to the sequential run for any worker count.
-pub fn run_once_sharded(
-    cfg: SystemConfig,
-    pattern: TrafficPattern,
-    load: f64,
-    plan: PhasePlan,
-    point_threads: std::num::NonZeroUsize,
-) -> RunResult {
-    run_once_traced_sharded(cfg, pattern, load, plan, point_threads).0
-}
-
-/// Sharded variant of [`run_once_traced`] — one worker degenerates to the
-/// plain sequential engine.
-pub fn run_once_traced_sharded(
-    cfg: SystemConfig,
-    pattern: TrafficPattern,
-    load: f64,
-    plan: PhasePlan,
-    point_threads: std::num::NonZeroUsize,
-) -> (RunResult, RunTrace) {
-    let capacity = cfg.capacity().uniform_capacity();
-    let mut sys = System::new(cfg, pattern, load, plan);
-    let cycles = sys.run_sharded(point_threads);
-    collect(sys, load, capacity, cycles)
-}
-
-/// Drains a finished system into its `(RunResult, RunTrace)` pair — the
-/// common tail of the generated, recorded and replayed run flavours.
-fn collect(mut sys: System, load: f64, capacity: f64, cycles: Cycle) -> (RunResult, RunTrace) {
-    let trace = RunTrace {
-        counter_names: sys.metric_counter_names(),
-        gauge_names: sys.metric_gauge_names(),
-        hist_summaries: sys.metric_hist_summaries(),
-        dropped: sys.trace_dropped(),
-        records: sys.take_trace_records(),
-        windows: sys.take_metric_windows(),
-        packets: sys.take_packet_log(),
-    };
-    let m = sys.metrics();
-    let (grants, retunes) = sys.srs().reconfig_counts();
-    let (ls_retries, ls_aborts) = sys.control_stats();
-    let result = RunResult {
-        load,
-        throughput: m.throughput_ppc(),
-        throughput_norm: m.throughput_ppc() / capacity,
-        latency: m.mean_latency(),
-        latency_p95: m.latency.p95().unwrap_or(0.0),
-        power_mw: m.average_power_mw(),
-        src_path: m.src_path.mean(),
-        tx_wait: m.tx_wait.mean(),
-        undrained: m.tracker.outstanding(),
-        grants,
-        retunes,
-        ls_retries,
-        ls_aborts,
-        injected: m.injected_total,
-        delivered: m.delivered_total,
-        cycles,
-    };
-    (result, trace)
-}
-
 /// The provenance header a recording run stamps on its trace. The
 /// `git_sha` is left `"unknown"` — library code does not inspect the
 /// checkout; binaries overwrite it (see `erapid_bench::git_sha`).
@@ -216,116 +129,6 @@ pub fn trace_meta(cfg: &SystemConfig, pattern: &TrafficPattern, load: f64) -> Tr
         load,
         git_sha: "unknown".to_string(),
     }
-}
-
-/// Runs one generated point with injection recording on, returning the
-/// headline numbers plus the recorded workload (with provenance attached).
-/// The recording observes the run without perturbing it: the [`RunResult`]
-/// matches [`run_once`] on the same inputs byte-identically.
-pub fn run_once_recorded(
-    cfg: SystemConfig,
-    pattern: TrafficPattern,
-    load: f64,
-    plan: PhasePlan,
-) -> (RunResult, InjectionTrace) {
-    let mut cfg = cfg;
-    cfg.record_injections = true;
-    let capacity = cfg.capacity().uniform_capacity();
-    let meta = trace_meta(&cfg, &pattern, load);
-    let mut sys = System::new(cfg, pattern, load, plan);
-    let cycles = sys.run();
-    let rec = sys.take_injection_log().unwrap_or_default();
-    let (result, _) = collect(sys, load, capacity, cycles);
-    (result, rec.into_trace(meta))
-}
-
-/// Replays a recorded trace against `cfg` (which may differ from the
-/// recording configuration in mode, thresholds, faults — anything but the
-/// B×D geometry the node ids assume). The reported load is the trace's
-/// recorded load.
-pub fn run_once_replayed(cfg: SystemConfig, trace: &InjectionTrace, plan: PhasePlan) -> RunResult {
-    run_once_replayed_traced(cfg, trace, plan).0
-}
-
-/// Traced variant of [`run_once_replayed`].
-pub fn run_once_replayed_traced(
-    cfg: SystemConfig,
-    trace: &InjectionTrace,
-    plan: PhasePlan,
-) -> (RunResult, RunTrace) {
-    run_once_replayed_traced_sharded(cfg, trace, plan, std::num::NonZeroUsize::MIN)
-}
-
-/// As [`run_once_replayed`], on the board-sharded engine. Replay and
-/// sharding compose: injection stays a sequential phase, so the replayed
-/// packet stream is identical for any worker count.
-pub fn run_once_replayed_sharded(
-    cfg: SystemConfig,
-    trace: &InjectionTrace,
-    plan: PhasePlan,
-    point_threads: std::num::NonZeroUsize,
-) -> RunResult {
-    run_once_replayed_traced_sharded(cfg, trace, plan, point_threads).0
-}
-
-/// Sharded variant of [`run_once_replayed_traced`].
-pub fn run_once_replayed_traced_sharded(
-    cfg: SystemConfig,
-    trace: &InjectionTrace,
-    plan: PhasePlan,
-    point_threads: std::num::NonZeroUsize,
-) -> (RunResult, RunTrace) {
-    let capacity = cfg.capacity().uniform_capacity();
-    let load = trace.meta.load;
-    let mut sys = System::with_trace(cfg, trace.replayer(), plan);
-    let cycles = sys.run_sharded(point_threads);
-    collect(sys, load, capacity, cycles)
-}
-
-/// Sweeps the load axis for one (mode, pattern) pair on `threads` workers.
-///
-/// The points are built sequentially (so `make_cfg` may be stateful) and
-/// executed by [`crate::runner::run_points`]; results come back in load
-/// order, byte-identical to a sequential sweep for any thread count.
-pub fn sweep_loads_with(
-    threads: std::num::NonZeroUsize,
-    mode: NetworkMode,
-    pattern: &TrafficPattern,
-    loads: &[f64],
-    mut make_cfg: impl FnMut(NetworkMode) -> SystemConfig,
-) -> Vec<RunResult> {
-    let points: Vec<crate::runner::RunPoint> = loads
-        .iter()
-        .map(|&load| {
-            let cfg = make_cfg(mode);
-            let plan = default_plan(cfg.schedule.window);
-            crate::runner::RunPoint {
-                cfg,
-                pattern: pattern.clone(),
-                load,
-                plan,
-                source: TraceSource::Generate,
-            }
-        })
-        .collect();
-    crate::runner::run_points(threads, points)
-}
-
-/// Sweeps the load axis for one (mode, pattern) pair, using every
-/// available core (see [`sweep_loads_with`] to control the thread count).
-pub fn sweep_loads(
-    mode: NetworkMode,
-    pattern: &TrafficPattern,
-    loads: &[f64],
-    make_cfg: impl FnMut(NetworkMode) -> SystemConfig,
-) -> Vec<RunResult> {
-    sweep_loads_with(
-        crate::runner::available_threads(),
-        mode,
-        pattern,
-        loads,
-        make_cfg,
-    )
 }
 
 /// The paper's load axis: 0.1 – 0.9 in steps of 0.1.
@@ -373,33 +176,5 @@ mod tests {
         assert_eq!(l.len(), 9);
         assert!((l[0] - 0.1).abs() < 1e-12);
         assert!((l[8] - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn run_once_produces_consistent_result() {
-        let cfg = SystemConfig::small(NetworkMode::NpNb);
-        let plan = default_plan(cfg.schedule.window);
-        let r = run_once(cfg, TrafficPattern::Uniform, 0.3, plan);
-        assert!((r.load - 0.3).abs() < 1e-12);
-        assert!(r.throughput > 0.0);
-        assert!(r.throughput_norm > 0.0 && r.throughput_norm < 1.2);
-        assert!(r.latency > 0.0);
-        assert!(r.latency_p95 >= r.latency * 0.5);
-        assert!(r.power_mw > 0.0);
-        assert_eq!(r.undrained, 0);
-        assert_eq!(r.grants, 0);
-        assert!(r.cycles > 0);
-    }
-
-    #[test]
-    fn sweep_is_monotone_in_load_below_saturation() {
-        let results = sweep_loads(
-            NetworkMode::NpNb,
-            &TrafficPattern::Uniform,
-            &[0.2, 0.4],
-            SystemConfig::small,
-        );
-        assert_eq!(results.len(), 2);
-        assert!(results[1].throughput > results[0].throughput);
     }
 }

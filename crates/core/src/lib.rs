@@ -33,9 +33,12 @@
 //!   odd–even reconfiguration triggers,
 //! * [`metrics`] — run metrics (throughput, latency, power, reconfig
 //!   counters),
-//! * [`experiment`] — load sweeps and the figure-series runner,
-//! * [`runner`] — the parallel run-level executor fanning independent
-//!   experiment points over a worker pool (`ERAPID_THREADS`),
+//! * [`experiment`] — what one run reports ([`RunResult`], [`RunTrace`]),
+//!   where its traffic comes from ([`TraceSource`]) and the default phase
+//!   plan and load axis,
+//! * [`runner`] — the one run entry point: [`RunPoint::execute`] runs a
+//!   point, [`run_points`] fans a batch over a worker pool
+//!   (`ERAPID_THREADS`), and both return an [`Outcome`],
 //! * [`faults`] — deterministic, seed-reproducible fault-event scheduling
 //!   (receiver/transmitter outages, stuck LCs, CDR relocks, LS token
 //!   faults),
@@ -48,21 +51,22 @@
 //! grants, faults, buffer-threshold crossings) plus per-window metric
 //! snapshots into a preallocated, point-local ring buffer. Tracing never
 //! perturbs the simulation, and per-point traces are byte-identical
-//! across sequential and parallel sweeps (see
-//! [`runner::run_points_traced`]).
+//! across sequential and parallel sweeps (see [`runner::run_points`]).
 
 //!
 //! ## Example: one experiment point
 //!
 //! ```
 //! use erapid_core::config::{NetworkMode, SystemConfig};
-//! use erapid_core::experiment::run_once;
+//! use erapid_core::runner::RunPoint;
 //! use desim::phase::PhasePlan;
+//! use std::num::NonZeroUsize;
 //! use traffic::pattern::TrafficPattern;
 //!
 //! let cfg = SystemConfig::small(NetworkMode::PB); // fast R(1,4,4) system
 //! let plan = PhasePlan::new(2000, 4000).with_max_cycles(40_000);
-//! let r = run_once(cfg, TrafficPattern::Uniform, 0.3, plan);
+//! let point = RunPoint::new(cfg, TrafficPattern::Uniform, 0.3, plan);
+//! let r = point.execute(NonZeroUsize::MIN).result;
 //! assert!(r.throughput > 0.0);
 //! assert!(r.power_mw > 0.0);
 //! assert_eq!(r.undrained, 0);
@@ -86,18 +90,11 @@ pub mod txqueue;
 pub use checkpoint::{latest_valid, restore_system, Checkpointer};
 pub use config::{NetworkMode, SystemConfig};
 pub use error::ErapidError;
-pub use experiment::{
-    run_once, run_once_recorded, run_once_replayed, run_once_replayed_sharded,
-    run_once_replayed_traced, run_once_replayed_traced_sharded, run_once_sharded, run_once_traced,
-    run_once_traced_sharded, sweep_loads, sweep_loads_with, trace_meta, RunResult, RunTrace,
-    TraceSource,
-};
+pub use experiment::{trace_meta, RunResult, RunTrace, TraceSource};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::PacketDelivery;
 pub use runner::{
-    nested_budget, parallel_map, parallel_map_prioritized, point_threads_from_env, run_points,
-    run_points_sharded, run_points_timed, run_points_timed_sharded, run_points_traced,
-    run_points_traced_sharded, RunPoint,
+    parallel_map, parallel_map_prioritized, point_threads_from_env, run_points, Outcome, RunPoint,
 };
 pub use stream::{StreamCursor, StreamPaths, StreamSink};
 pub use system::{PhaseTimers, System, WindowFlush};

@@ -7,9 +7,15 @@
 //! executes it. That makes run-level fan-out safe by construction — only
 //! the *scheduling* is concurrent. A second, nested level of parallelism
 //! shards the cycle engine *inside* one point across boards
-//! (`ERAPID_POINT_THREADS`, [`crate::System::run_sharded`], DESIGN.md
-//! §12); it is deterministic by a two-phase compute/commit barrier rather
-//! than by independence.
+//! (`ERAPID_POINT_THREADS`, [`crate::System::run_with`], DESIGN.md §12);
+//! it is deterministic by a two-phase compute/commit barrier rather than
+//! by independence.
+//!
+//! There is one way to run a point, [`RunPoint::execute`], and one way to
+//! run a batch, [`run_points`]. Both hand back an [`Outcome`]: the
+//! headline [`RunResult`], the point's [`RunTrace`] (empty unless the
+//! config turns tracing on), the recorded injections (only when
+//! [`SystemConfig::record_injections`] is set) and the host wall time.
 //!
 //! No external crates: the pool is a self-scheduling worker loop over
 //! [`std::thread::scope`] — workers pull the next unclaimed index from a
@@ -22,12 +28,16 @@
 //! machine's available parallelism.
 
 use crate::config::SystemConfig;
-use crate::experiment::{RunResult, RunTrace, TraceSource};
+use crate::experiment::{trace_meta, RunResult, RunTrace, TraceSource};
+use crate::system::System;
 use desim::phase::PhasePlan;
+use desim::Cycle;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 use traffic::pattern::TrafficPattern;
+use traffic::trace::InjectionTrace;
 
 /// The machine's available parallelism (1 if it cannot be queried).
 pub fn available_threads() -> NonZeroUsize {
@@ -47,7 +57,7 @@ pub fn threads_from_env() -> NonZeroUsize {
 
 /// Parses the `ERAPID_POINT_THREADS` env knob — workers *inside* one
 /// simulation point for the board-sharded engine
-/// (`crate::System::run_sharded`). Unset or unparsable mean `1` (the
+/// ([`crate::System::run_with`]). Unset or unparsable mean `1` (the
 /// plain sequential engine: intra-point sharding is opt-in because the
 /// run-level executor usually saturates the machine already); `0` means
 /// "use [`available_threads`]". Results are byte-identical for any value.
@@ -60,17 +70,6 @@ pub fn point_threads_from_env() -> NonZeroUsize {
         },
         Err(_) => NonZeroUsize::MIN,
     }
-}
-
-/// Splits a total worker budget across the two nesting levels: run-level
-/// workers (independent points) first — they parallelize perfectly — then
-/// whatever is left over as intra-point board-shard workers. Returns
-/// `(run_threads, point_threads)` with `run × point ≤ total` (and
-/// `run ≤ points` when there are fewer points than budget).
-pub fn nested_budget(total: NonZeroUsize, points: usize) -> (NonZeroUsize, NonZeroUsize) {
-    let run = NonZeroUsize::new(total.get().min(points.max(1))).unwrap_or(NonZeroUsize::MIN);
-    let point = NonZeroUsize::new(total.get() / run.get()).unwrap_or(NonZeroUsize::MIN);
-    (run, point)
 }
 
 /// Maps `f` over `items` on up to `threads` worker threads, returning the
@@ -174,145 +173,178 @@ pub struct RunPoint {
     pub source: TraceSource,
 }
 
+/// Everything one executed point hands back.
+#[derive(Debug, Clone)]
+pub struct Outcome {
+    /// The headline numbers.
+    pub result: RunResult,
+    /// The recorded event stream and metric windows (empty but
+    /// well-formed when the point's config leaves tracing off).
+    pub trace: RunTrace,
+    /// The injections the run made, stamped with provenance: `Some`
+    /// exactly when [`SystemConfig::record_injections`] is set. A
+    /// generated point is stamped with [`trace_meta`]; a replayed point
+    /// keeps the replayed trace's header.
+    pub recording: Option<InjectionTrace>,
+    /// Host wall time of the point: set-up, run and collection.
+    pub wall: Duration,
+}
+
 impl RunPoint {
+    /// A point driven by live traffic generators.
+    pub fn new(cfg: SystemConfig, pattern: TrafficPattern, load: f64, plan: PhasePlan) -> Self {
+        Self {
+            cfg,
+            pattern,
+            load,
+            plan,
+            source: TraceSource::Generate,
+        }
+    }
+
+    /// A point replaying `trace` against `cfg` (which may differ from the
+    /// recording configuration in anything but the B×D geometry the node
+    /// ids assume). The reported load is the trace's recorded load.
+    pub fn replay(cfg: SystemConfig, trace: Arc<InjectionTrace>, plan: PhasePlan) -> Self {
+        Self {
+            cfg,
+            pattern: TrafficPattern::Uniform,
+            load: trace.meta.load,
+            plan,
+            source: TraceSource::Replay(trace),
+        }
+    }
+
     /// Estimated simulation cost, for longest-first dispatch: every cycle
     /// walks O(boards²) flow state, so `max_cycles × boards²` ranks a
-    /// heterogeneous grid well enough to keep workers busy. Wall-time
-    /// feedback from [`run_points_timed`] is the check on this estimate.
+    /// heterogeneous grid well enough to keep workers busy. The
+    /// [`Outcome::wall`] times binaries log are the check on this estimate.
     pub fn estimated_cost(&self) -> u128 {
         self.plan.max_cycles as u128 * (self.cfg.boards as u128).pow(2)
     }
 
-    /// Executes this point on the calling thread.
-    pub fn run(self) -> RunResult {
-        self.run_with(NonZeroUsize::MIN)
-    }
-
-    /// Executes this point with its cycle engine sharded across boards
-    /// onto `point_threads` workers ([`crate::System::run_sharded`]);
-    /// byte-identical to [`RunPoint::run`] for any worker count.
-    pub fn run_with(self, point_threads: NonZeroUsize) -> RunResult {
-        match self.source {
-            TraceSource::Generate => crate::experiment::run_once_sharded(
-                self.cfg,
-                self.pattern,
-                self.load,
-                self.plan,
-                point_threads,
-            ),
-            TraceSource::Replay(trace) => crate::experiment::run_once_replayed_sharded(
-                self.cfg,
-                &trace,
-                self.plan,
-                point_threads,
-            ),
-        }
-    }
-
-    /// Executes this point on the calling thread, keeping its trace.
-    pub fn run_traced(self) -> (RunResult, RunTrace) {
-        self.run_traced_with(NonZeroUsize::MIN)
-    }
-
-    /// Sharded variant of [`RunPoint::run_traced`].
-    pub fn run_traced_with(self, point_threads: NonZeroUsize) -> (RunResult, RunTrace) {
-        match self.source {
-            TraceSource::Generate => crate::experiment::run_once_traced_sharded(
-                self.cfg,
-                self.pattern,
-                self.load,
-                self.plan,
-                point_threads,
-            ),
-            TraceSource::Replay(trace) => crate::experiment::run_once_replayed_traced_sharded(
-                self.cfg,
-                &trace,
-                self.plan,
-                point_threads,
-            ),
+    /// Runs this point to completion with its cycle engine sharded across
+    /// boards onto `point_threads` workers (`1` is the plain sequential
+    /// engine). Every field but [`Outcome::wall`] is byte-identical for
+    /// any worker count. Tracing and recording observe the run without
+    /// perturbing it: the [`RunResult`] does not depend on either flag.
+    pub fn execute(self, point_threads: NonZeroUsize) -> Outcome {
+        let start = Instant::now();
+        let capacity = self.cfg.capacity().uniform_capacity();
+        let (mut sys, load, meta) = match self.source {
+            TraceSource::Generate => {
+                let meta = trace_meta(&self.cfg, &self.pattern, self.load);
+                let sys = System::new(self.cfg, self.pattern, self.load, self.plan);
+                (sys, self.load, meta)
+            }
+            TraceSource::Replay(trace) => {
+                let sys = System::with_trace(self.cfg, trace.replayer(), self.plan);
+                (sys, trace.meta.load, trace.meta.clone())
+            }
+        };
+        let cycles = sys.run_with(point_threads, &mut |_| {});
+        let recording = sys.take_injection_log().map(|rec| rec.into_trace(meta));
+        let (result, trace) = collect(sys, load, capacity, cycles);
+        Outcome {
+            result,
+            trace,
+            recording,
+            wall: start.elapsed(),
         }
     }
 }
 
-/// Fans a batch of experiment points out over `threads` workers; results
-/// come back in input order and are byte-identical to running each point
-/// sequentially.
-pub fn run_points(threads: NonZeroUsize, points: Vec<RunPoint>) -> Vec<RunResult> {
-    parallel_map_prioritized(threads, points, RunPoint::estimated_cost, RunPoint::run)
+/// Drains a finished system into its `(RunResult, RunTrace)` pair.
+fn collect(mut sys: System, load: f64, capacity: f64, cycles: Cycle) -> (RunResult, RunTrace) {
+    let trace = RunTrace {
+        counter_names: sys.metric_counter_names(),
+        gauge_names: sys.metric_gauge_names(),
+        hist_summaries: sys.metric_hist_summaries(),
+        dropped: sys.trace_dropped(),
+        records: sys.take_trace_records(),
+        windows: sys.take_metric_windows(),
+        packets: sys.take_packet_log(),
+    };
+    let m = sys.metrics();
+    let (grants, retunes) = sys.srs().reconfig_counts();
+    let (ls_retries, ls_aborts) = sys.control_stats();
+    let result = RunResult {
+        load,
+        throughput: m.throughput_ppc(),
+        throughput_norm: m.throughput_ppc() / capacity,
+        latency: m.mean_latency(),
+        latency_p95: m.latency.p95().unwrap_or(0.0),
+        power_mw: m.average_power_mw(),
+        src_path: m.src_path.mean(),
+        tx_wait: m.tx_wait.mean(),
+        undrained: m.tracker.outstanding(),
+        grants,
+        retunes,
+        ls_retries,
+        ls_aborts,
+        injected: m.injected_total,
+        delivered: m.delivered_total,
+        cycles,
+    };
+    (result, trace)
 }
 
-/// As [`run_points`], with each point's cycle engine additionally sharded
-/// across boards onto `point_threads` workers — the nested point×board
-/// budget (see [`nested_budget`]). Byte-identical to [`run_points`] for
-/// any `(threads, point_threads)` combination.
-pub fn run_points_sharded(
+/// Fans a batch of experiment points out over `threads` workers, each
+/// point's cycle engine sharded onto `point_threads` board workers (the
+/// nested point × board budget). Outcomes come back in input order, and
+/// every field but [`Outcome::wall`] is byte-identical to executing each
+/// point on its own, for any `(threads, point_threads)`. Each point
+/// records into its own trace (a [`System`] field, never shared), so
+/// concatenating the per-point traces yields the same bytes for any
+/// thread count.
+pub fn run_points(
     threads: NonZeroUsize,
     point_threads: NonZeroUsize,
     points: Vec<RunPoint>,
-) -> Vec<RunResult> {
+) -> Vec<Outcome> {
     parallel_map_prioritized(threads, points, RunPoint::estimated_cost, |p: RunPoint| {
-        p.run_with(point_threads)
+        p.execute(point_threads)
     })
-}
-
-/// Sharded variant of [`run_points_timed`].
-pub fn run_points_timed_sharded(
-    threads: NonZeroUsize,
-    point_threads: NonZeroUsize,
-    points: Vec<RunPoint>,
-) -> Vec<(RunResult, std::time::Duration)> {
-    parallel_map_prioritized(threads, points, RunPoint::estimated_cost, |p: RunPoint| {
-        let start = std::time::Instant::now();
-        let r = p.run_with(point_threads);
-        (r, start.elapsed())
-    })
-}
-
-/// Sharded variant of [`run_points_traced`].
-pub fn run_points_traced_sharded(
-    threads: NonZeroUsize,
-    point_threads: NonZeroUsize,
-    points: Vec<RunPoint>,
-) -> Vec<(RunResult, RunTrace)> {
-    parallel_map_prioritized(threads, points, RunPoint::estimated_cost, |p: RunPoint| {
-        p.run_traced_with(point_threads)
-    })
-}
-
-/// As [`run_points`], additionally reporting each point's wall time — the
-/// feedback loop on [`RunPoint::estimated_cost`]: binaries log the pairs
-/// so a drifting estimator is visible in the perf artifacts rather than
-/// silently degrading the schedule.
-pub fn run_points_timed(
-    threads: NonZeroUsize,
-    points: Vec<RunPoint>,
-) -> Vec<(RunResult, std::time::Duration)> {
-    parallel_map_prioritized(threads, points, RunPoint::estimated_cost, |p: RunPoint| {
-        let start = std::time::Instant::now();
-        let r = p.run();
-        (r, start.elapsed())
-    })
-}
-
-/// Traced variant of [`run_points`]. Each worker records into its own
-/// point-local recorder (a [`crate::System`] field — never shared), and
-/// the (result, trace) pairs land in input order, so concatenating the
-/// per-point traces yields the same bytes for any thread count.
-pub fn run_points_traced(
-    threads: NonZeroUsize,
-    points: Vec<RunPoint>,
-) -> Vec<(RunResult, RunTrace)> {
-    parallel_map_prioritized(
-        threads,
-        points,
-        RunPoint::estimated_cost,
-        RunPoint::run_traced,
-    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::NetworkMode;
+    use crate::experiment::default_plan;
+
+    #[test]
+    fn execute_produces_consistent_result() {
+        let cfg = SystemConfig::small(NetworkMode::NpNb);
+        let plan = default_plan(cfg.schedule.window);
+        let out = RunPoint::new(cfg, TrafficPattern::Uniform, 0.3, plan).execute(NonZeroUsize::MIN);
+        let r = out.result;
+        assert!((r.load - 0.3).abs() < 1e-12);
+        assert!(r.throughput > 0.0);
+        assert!(r.throughput_norm > 0.0 && r.throughput_norm < 1.2);
+        assert!(r.latency > 0.0);
+        assert!(r.latency_p95 >= r.latency * 0.5);
+        assert!(r.power_mw > 0.0);
+        assert_eq!(r.undrained, 0);
+        assert_eq!(r.grants, 0);
+        assert!(r.cycles > 0);
+        assert!(out.trace.records.is_empty(), "tracing is off by default");
+        assert!(out.recording.is_none(), "recording is off by default");
+    }
+
+    #[test]
+    fn batch_throughput_is_monotone_in_load() {
+        let points = [0.2, 0.4]
+            .map(|load| {
+                let cfg = SystemConfig::small(NetworkMode::NpNb);
+                let plan = default_plan(cfg.schedule.window);
+                RunPoint::new(cfg, TrafficPattern::Uniform, load, plan)
+            })
+            .to_vec();
+        let out = run_points(available_threads(), NonZeroUsize::MIN, points);
+        assert_eq!(out.len(), 2);
+        assert!(out[1].result.throughput > out[0].result.throughput);
+    }
 
     #[test]
     fn parallel_map_preserves_input_order() {
@@ -384,15 +416,16 @@ mod tests {
 
     #[test]
     fn estimated_cost_scales_with_boards_and_cycles() {
-        let mk = |boards: u16, cycles: u64| RunPoint {
-            cfg: SystemConfig {
-                boards,
-                ..SystemConfig::small(crate::config::NetworkMode::NpNb)
-            },
-            pattern: TrafficPattern::Uniform,
-            load: 0.5,
-            plan: PhasePlan::new(100, 200).with_max_cycles(cycles),
-            source: TraceSource::Generate,
+        let mk = |boards: u16, cycles: u64| {
+            RunPoint::new(
+                SystemConfig {
+                    boards,
+                    ..SystemConfig::small(NetworkMode::NpNb)
+                },
+                TrafficPattern::Uniform,
+                0.5,
+                PhasePlan::new(100, 200).with_max_cycles(cycles),
+            )
         };
         let small = mk(4, 10_000).estimated_cost();
         let wide = mk(8, 10_000).estimated_cost();

@@ -130,7 +130,7 @@ unsafe fn compute_board(ctx: &ShardCtx, b: usize) {
 
 /// The per-run barrier pair: epoch-tagged work tickets plus the published
 /// per-cycle context. Lives on the main thread's stack for the duration
-/// of one `run_sharded` call; workers hold only `&Gate`.
+/// of one sharded `System::run_with` call; workers hold only `&Gate`.
 pub(crate) struct Gate {
     /// `(epoch << 32) | cursor`. The main thread *stores* a new epoch with
     /// cursor 0 to open a compute phase; claimants `fetch_add` the cursor.

@@ -381,59 +381,6 @@ impl System {
         self.now += 1;
     }
 
-    /// Runs until every labelled packet drains (or the plan's hard cap).
-    /// Returns the final cycle.
-    pub fn run(&mut self) -> Cycle {
-        let plan = self.metrics.plan;
-        while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
-            self.step();
-        }
-        self.now
-    }
-
-    /// As [`System::run`], attributing wall time per engine phase into
-    /// `timers`. The simulation trajectory is identical — the probe only
-    /// reads clocks.
-    pub fn run_profiled(&mut self, timers: &mut PhaseTimers) -> Cycle {
-        let plan = self.metrics.plan;
-        while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
-            self.step_profiled(timers);
-        }
-        self.now
-    }
-
-    /// As [`System::run`], but with the per-cycle hot path (router steps +
-    /// lane transmits) sharded across boards onto up to `point_threads`
-    /// worker threads (clamped to the board count; `1` falls back to the
-    /// plain sequential loop). The run is **byte-identical** to
-    /// [`System::run`] for any worker count: the compute phase only
-    /// touches disjoint per-board/per-lane state, and the commit phase
-    /// replays every shared side effect in the sequential engine's exact
-    /// order (see `crate::shard` and DESIGN.md §12).
-    pub fn run_sharded(&mut self, point_threads: std::num::NonZeroUsize) -> Cycle {
-        let workers = point_threads.get().min(self.cfg.boards as usize);
-        if workers <= 1 {
-            return self.run();
-        }
-        let plan = self.metrics.plan;
-        let mut outs: Vec<crate::shard::BoardOut> = (0..self.cfg.boards as usize)
-            .map(|_| crate::shard::BoardOut::default())
-            .collect();
-        let gate = crate::shard::Gate::new();
-        std::thread::scope(|scope| {
-            // The calling thread participates, so spawn `workers - 1`.
-            for _ in 1..workers {
-                let gate = &gate;
-                scope.spawn(move || crate::shard::worker(gate));
-            }
-            while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
-                self.step_sharded(&gate, &mut outs);
-            }
-            gate.halt();
-        });
-        self.now
-    }
-
     /// One cycle of the sharded engine: the sequential prologue
     /// (faults/windows/DBR/LS/injection) and epilogue (receive, SRS tick,
     /// power record) are exactly [`System::step_inner`]'s; in between, the
@@ -1504,13 +1451,23 @@ impl System {
         Ok(())
     }
 
-    /// As [`Self::run`]/[`Self::run_sharded`], invoking `hook` at the top
-    /// of every cycle *before* the cycle executes. The hook observes the
-    /// system exactly as the cycle will (same `now`, pre-boundary state),
-    /// which is what checkpointing and streaming export need: a hook at
-    /// cycle `t = k·R_w` captures the state an uninterrupted run has when
-    /// entering that boundary cycle. The trajectory is byte-identical to
-    /// the unhooked engines for any worker count.
+    /// Runs until every labelled packet drains (or the plan's hard cap),
+    /// invoking `hook` at the top of every cycle *before* the cycle
+    /// executes, and returns the final cycle. Pass `&mut |_| {}` for a
+    /// plain run.
+    ///
+    /// The hook observes the system exactly as the cycle will (same
+    /// `now`, pre-boundary state), which is what checkpointing and
+    /// streaming export need: a hook at cycle `t = k·R_w` captures the
+    /// state an uninterrupted run has when entering that boundary cycle.
+    ///
+    /// With `point_threads > 1` the per-cycle hot path (router steps +
+    /// lane transmits) is sharded across boards onto up to that many
+    /// worker threads (clamped to the board count). The run is
+    /// **byte-identical** for any worker count: the compute phase only
+    /// touches disjoint per-board/per-lane state, and the commit phase
+    /// replays every shared side effect in the sequential engine's exact
+    /// order (see `crate::shard` and DESIGN.md §12).
     pub fn run_with<F: FnMut(&mut System)>(
         &mut self,
         point_threads: std::num::NonZeroUsize,
@@ -1518,25 +1475,24 @@ impl System {
     ) -> Cycle {
         let workers = point_threads.get().min(self.cfg.boards as usize);
         let plan = self.metrics.plan;
-        if workers <= 1 {
-            while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
-                hook(self);
-                self.step();
-            }
-            return self.now;
-        }
-        let mut outs: Vec<crate::shard::BoardOut> = (0..self.cfg.boards as usize)
+        let sharded = workers > 1;
+        let mut outs: Vec<crate::shard::BoardOut> = (0..self.cfg.boards)
             .map(|_| crate::shard::BoardOut::default())
             .collect();
         let gate = crate::shard::Gate::new();
         std::thread::scope(|scope| {
+            // The calling thread participates, so spawn `workers - 1`.
             for _ in 1..workers {
                 let gate = &gate;
                 scope.spawn(move || crate::shard::worker(gate));
             }
             while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
                 hook(self);
-                self.step_sharded(&gate, &mut outs);
+                if sharded {
+                    self.step_sharded(&gate, &mut outs);
+                } else {
+                    self.step();
+                }
             }
             gate.halt();
         });
@@ -1583,48 +1539,15 @@ pub struct WindowFlush {
     pub packets: Vec<PacketDelivery>,
 }
 
-/// Adapter running a [`System`] as a [`desim::clocked::Clocked`] component,
-/// so it can be composed with other clocked models under one
-/// [`desim::clocked::ClockedEngine`].
-pub struct ClockedSystem {
-    system: System,
-}
-
-impl ClockedSystem {
-    /// Wraps a system.
-    pub fn new(system: System) -> Self {
-        Self { system }
-    }
-
-    /// The wrapped system.
-    pub fn system(&self) -> &System {
-        &self.system
-    }
-
-    /// Unwraps.
-    pub fn into_inner(self) -> System {
-        self.system
-    }
-}
-
-impl desim::clocked::Clocked for ClockedSystem {
-    /// Shared state mirrors the packet counters: `(injected, delivered)`.
-    type Shared = (u64, u64);
-
-    fn tick(&mut self, now: Cycle, shared: &mut (u64, u64)) {
-        debug_assert_eq!(now, self.system.now(), "engine and system clocks in step");
-        self.system.step();
-        *shared = (
-            self.system.metrics().injected_total,
-            self.system.metrics().delivered_total,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::NetworkMode;
+
+    /// Runs `sys` to the end of its plan on the sequential engine.
+    fn finish(sys: &mut System) {
+        sys.run_with(std::num::NonZeroUsize::MIN, &mut |_| {});
+    }
 
     fn plan() -> PhasePlan {
         PhasePlan::new(2000, 4000).with_max_cycles(40_000)
@@ -1633,7 +1556,7 @@ mod tests {
     fn run(mode: NetworkMode, pattern: TrafficPattern, load: f64) -> System {
         let cfg = SystemConfig::small(mode);
         let mut sys = System::new(cfg, pattern, load, plan());
-        sys.run();
+        finish(&mut sys);
         sys
     }
 
@@ -1733,7 +1656,7 @@ mod tests {
             dwell: 1000.0,
         });
         let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.3, plan());
-        sys.run();
+        finish(&mut sys);
         let m = sys.metrics();
         assert!(m.injected_total > 0);
         assert_eq!(m.tracker.outstanding(), 0, "bursty low load must drain");
@@ -1747,7 +1670,7 @@ mod tests {
             let mut cfg = SystemConfig::small(NetworkMode::PB);
             cfg.control_plane = plane;
             let mut sys = System::new(cfg, TrafficPattern::Complement, 0.6, plan());
-            sys.run();
+            finish(&mut sys);
             (
                 sys.metrics().injected_total,
                 sys.metrics().delivered_total,
@@ -1781,7 +1704,7 @@ mod tests {
         // tokens are on the ring from 4005.
         cfg.faults = crate::faults::FaultPlan::new().at(4006, kind);
         let mut sys = System::new(cfg, TrafficPattern::Complement, 0.6, plan());
-        sys.run();
+        finish(&mut sys);
         (
             sys.metrics().injected_total,
             sys.metrics().delivered_total,
@@ -1818,37 +1741,9 @@ mod tests {
         cfg.faults = crate::faults::FaultPlan::new()
             .at(4006, crate::faults::FaultKind::TokenLoss { victim: 1 });
         let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.3, plan());
-        sys.run();
+        finish(&mut sys);
         assert_eq!(sys.control_stats(), (0, 0));
         assert_eq!(sys.metrics().tracker.outstanding(), 0);
-    }
-
-    #[test]
-    fn clocked_adapter_matches_direct_stepping() {
-        let mk = || {
-            System::new(
-                SystemConfig::small(NetworkMode::PB),
-                TrafficPattern::Uniform,
-                0.4,
-                plan(),
-            )
-        };
-        let mut direct = mk();
-        for _ in 0..3000 {
-            direct.step();
-        }
-        let mut engine = desim::clocked::ClockedEngine::new((0u64, 0u64));
-        engine.add(Box::new(super::ClockedSystem::new(mk())));
-        engine.run_to(3000);
-        // Identical counters after the same number of cycles — the
-        // adapter introduces no drift.
-        assert_eq!(
-            *engine.shared(),
-            (
-                direct.metrics().injected_total,
-                direct.metrics().delivered_total
-            )
-        );
     }
 
     #[test]
@@ -1879,13 +1774,13 @@ mod tests {
             0.4,
             plan(),
         );
-        live.run();
+        finish(&mut live);
         let mut replayed = System::with_trace(
             SystemConfig::small(NetworkMode::PB),
             rec.into_replay(),
             plan(),
         );
-        replayed.run();
+        finish(&mut replayed);
         assert_eq!(
             live.metrics().injected_total,
             replayed.metrics().injected_total
@@ -1905,7 +1800,7 @@ mod tests {
     fn zero_load_runs_clean() {
         let cfg = SystemConfig::small(NetworkMode::PB);
         let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.0, plan());
-        sys.run();
+        finish(&mut sys);
         assert_eq!(sys.metrics().injected_total, 0);
         assert!(sys.is_drained());
         // Idle lasers still burn idle power.
@@ -1917,7 +1812,7 @@ mod tests {
         let mut cfg = SystemConfig::small(NetworkMode::PB);
         cfg.trace = erapid_telemetry::TraceConfig::on();
         let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.5, plan());
-        sys.run();
+        finish(&mut sys);
         assert!(sys.trace_enabled());
         assert_eq!(sys.trace_dropped(), 0, "64 KiB ring must fit a small run");
         let records = sys.take_trace_records();
@@ -1953,7 +1848,7 @@ mod tests {
         let mut cfg = SystemConfig::small(NetworkMode::PB);
         cfg.trace = erapid_telemetry::TraceConfig::on();
         let mut traced = System::new(cfg, TrafficPattern::Uniform, 0.4, plan());
-        traced.run();
+        finish(&mut traced);
         assert_eq!(
             plain.metrics().injected_total,
             traced.metrics().injected_total

@@ -3,12 +3,8 @@
 //! This crate is the substrate the original E-RAPID paper obtained from
 //! YACSIM/NETSIM (Rice University, C, long unavailable). It provides:
 //!
-//! * a deterministic event-driven kernel ([`sim::Simulator`]) with two
-//!   interchangeable pending-event set implementations (binary heap and
-//!   calendar queue, [`queue`]),
-//! * a *clocked* harness ([`clocked`]) for cycle-accurate models that advance
-//!   every component once per clock edge — this is what the network model in
-//!   `erapid-core` runs on,
+//! * a deterministic pending-event set ([`queue`]): a binary heap with FIFO
+//!   tie-breaking, which the optical stage uses for in-flight arrivals,
 //! * deterministic, splittable random-number streams and the distributions a
 //!   network simulator needs ([`rng`]): Bernoulli injection processes,
 //!   uniform destinations, geometric/exponential inter-arrivals, Zipf
@@ -18,39 +14,38 @@
 //!   warmed up under load without taking measurements until steady state was
 //!   reached ... a sample of injected packets were labelled during a
 //!   measurement interval"),
-//! * a bounded event trace for debugging ([`trace`]),
 //! * a checksummed binary snapshot substrate for checkpoint/restore of
 //!   long-horizon runs ([`snap`]).
 //!
-//! The whole engine is single-threaded on purpose: cycle-accurate network
-//! simulation at the paper's scale (64 nodes) is dominated by event ordering
-//! dependencies, and determinism — every run reproducible from one `u64`
-//! seed — is worth far more than parallel speedup here.
+//! Everything here is deterministic: every run is reproducible from one
+//! `u64` seed.
 //!
 //! ## Quick example
 //!
 //! ```
-//! use desim::sim::Simulator;
+//! use desim::phase::{Phase, PhasePlan};
+//! use desim::queue::BinaryHeapQueue;
 //!
-//! let mut sim: Simulator<u32> = Simulator::new();
-//! sim.schedule(5, 1);
-//! sim.schedule(2, 2);
+//! let mut q: BinaryHeapQueue<u32> = BinaryHeapQueue::new();
+//! q.insert(5, 1);
+//! q.insert(2, 2);
+//! q.insert(5, 3);
 //! let mut order = Vec::new();
-//! while let Some((t, ev)) = sim.next_event() {
+//! while let Some((t, ev)) = q.pop() {
 //!     order.push((t, ev));
 //! }
-//! assert_eq!(order, vec![(2, 2), (5, 1)]);
+//! assert_eq!(order, vec![(2, 2), (5, 1), (5, 3)]); // FIFO among ties
+//!
+//! let plan = PhasePlan::new(100, 200);
+//! assert_eq!(plan.phase_at(50), Phase::Warmup);
+//! assert_eq!(plan.phase_at(150), Phase::Measure);
 //! ```
 
-pub mod clocked;
 pub mod phase;
-pub mod process;
 pub mod queue;
 pub mod rng;
-pub mod sim;
 #[deny(clippy::unwrap_used, clippy::expect_used)]
 pub mod snap;
-pub mod trace;
 
 /// Simulation time, measured in router clock cycles.
 ///

@@ -147,9 +147,11 @@ impl MeshNetwork {
         let mut credits: Vec<(u32, PortId, u8)> = Vec::new();
         let mut hops = 0u64;
         let mut links = 0u64;
+        let mut traversals = Vec::new();
         for id in 0..self.routers.len() as u32 {
-            let traversals = self.routers[id as usize].step(now);
-            for t in traversals {
+            traversals.clear();
+            self.routers[id as usize].step_into(now, &mut traversals);
+            for &t in &traversals {
                 hops += 1;
                 // Popping from a non-local input frees a slot upstream.
                 if t.in_port != port::LOCAL {

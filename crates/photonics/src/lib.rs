@@ -14,8 +14,6 @@
 //!   with one output port per destination board (Fig. 2b),
 //! * [`receiver`] — a receiver with CDR re-lock behaviour on bit-rate
 //!   changes,
-//! * [`coupler`] — passive couplers that merge same-numbered ports from
-//!   different transmitters, with wavelength-collision detection,
 //! * [`fiber`] — propagation delay model,
 //! * [`serdes`] — flit serialization cycle counts per bit rate,
 //! * [`channel`] — an end-to-end optical channel (source board, destination
@@ -42,8 +40,6 @@
 
 pub mod bitrate;
 pub mod channel;
-pub mod coupler;
-pub mod devices;
 pub mod fiber;
 pub mod power;
 pub mod receiver;

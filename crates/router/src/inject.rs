@@ -188,7 +188,7 @@ mod tests {
             if inj.tick(&mut r) {
                 injected += 1;
             }
-            r.step(now);
+            r.step_into(now, &mut Vec::new());
         }
         assert_eq!(injected, 4);
         assert_eq!(inj.injected_flits(), 4);

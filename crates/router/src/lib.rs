@@ -19,7 +19,7 @@
 //! * [`routing`] — output-port lookup functions,
 //! * [`crossbar`] — the switch fabric (conflict checking),
 //! * [`words`] — packed `u64` bitset words for the arbitration hot path,
-//! * [`router`] — the assembled router with its per-cycle `step`.
+//! * [`router`] — the assembled router with its per-cycle `step_into`.
 
 //!
 //! ## Example: a flit through the pipeline
@@ -37,9 +37,9 @@
 //! let pkt = Packet { id: PacketId(0), src: NodeId(0), dst: NodeId(1),
 //!                    flits: 2, injected_at: 0, labelled: false };
 //! for f in pkt.flitize() { r.inject(PortId(0), 0, f); }
-//! let mut out = 0;
-//! for now in 0..10 { out += r.step(now).len(); }
-//! assert_eq!(out, 2); // head + tail traversed toward port 1
+//! let mut out = Vec::new();
+//! for now in 0..10 { r.step_into(now, &mut out); }
+//! assert_eq!(out.len(), 2); // head + tail traversed toward port 1
 //! ```
 
 pub mod arbiter;

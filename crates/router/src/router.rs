@@ -475,17 +475,6 @@ impl Router {
         Ok(())
     }
 
-    /// Advances one cycle; returns the flits that traversed the switch.
-    ///
-    /// Convenience wrapper over [`Router::step_into`] that allocates a
-    /// fresh result vector — fine for tests and one-off drivers; the
-    /// simulation hot loop should pass a reusable buffer to `step_into`.
-    pub fn step(&mut self, now: Cycle) -> Vec<Traversal> {
-        let mut out = Vec::new();
-        self.step_into(now, &mut out);
-        out
-    }
-
     /// Advances one cycle, appending the flits that traversed the switch
     /// to `out` (which is *not* cleared — the caller owns it).
     ///
@@ -712,6 +701,13 @@ mod tests {
     use crate::packet::Packet;
     use crate::routing::TableRoute;
 
+    /// One cycle into a fresh buffer: the traversals of cycle `now`.
+    fn step(r: &mut Router, now: Cycle) -> Vec<Traversal> {
+        let mut out = Vec::new();
+        r.step_into(now, &mut out);
+        out
+    }
+
     /// 2-in, 2-out router: node 0 → port 0, node 1 → port 1.
     fn small(buf_depth: usize, downstream: u32) -> Router {
         Router::new(
@@ -763,7 +759,7 @@ mod tests {
                     r.inject(*port, *vc, f);
                 }
             }
-            for t in r.step(now) {
+            for t in step(r, now) {
                 credit_returns.push((now + 1, t.out_port, t.out_vc));
                 out.push((now, t));
             }
@@ -800,7 +796,7 @@ mod tests {
         // Drain completely; the peak survives until taken.
         let mut drained = 0;
         for now in 0..30 {
-            let n = r.step(now).len();
+            let n = step(&mut r, now).len();
             drained += n;
             for _ in 0..n {
                 r.credit(PortId(1), 0);
@@ -891,7 +887,7 @@ mod tests {
         // downstream slot) may traverse.
         let mut count = 0;
         for now in 0..20 {
-            count += r.step(now).len();
+            count += step(&mut r, now).len();
         }
         assert_eq!(count, 1);
         assert_eq!(r.credits_available(PortId(1), 0), 0);
@@ -899,7 +895,7 @@ mod tests {
         r.credit(PortId(1), 0);
         let mut more = 0;
         for now in 20..30 {
-            more += r.step(now).len();
+            more += step(&mut r, now).len();
         }
         assert_eq!(more, 1);
     }
@@ -937,7 +933,7 @@ mod tests {
         let mut flits = packet(1, 1, 3);
         let body = flits.remove(1);
         r.inject(PortId(0), 0, body);
-        r.step(0);
+        step(&mut r, 0);
     }
 
     #[test]

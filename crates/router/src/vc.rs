@@ -7,8 +7,8 @@
 //!
 //! Two representations coexist:
 //!
-//! * [`VcState`]/[`InputVc`] — the enum form, which defines the snapshot
-//!   byte format (tags 0–3) and is what checkpoints serialize;
+//! * [`VcState`] — the enum form, which defines the snapshot byte format
+//!   (tags 0–3) and is what checkpoints serialize;
 //! * [`VcArena`] — a struct-of-arrays arena holding the same state as
 //!   parallel flat vectors indexed by requester id `r = in_port · V + in_vc`,
 //!   which is what the router's VA/SA/ST passes actually walk. The arena's
@@ -44,39 +44,6 @@ pub enum VcState {
         /// First cycle the VC may bid in SA.
         active_at: Cycle,
     },
-}
-
-/// One input virtual channel.
-#[derive(Debug, Clone)]
-pub struct InputVc {
-    /// Buffered flits.
-    pub buffer: FlitBuffer,
-    /// Pipeline state.
-    pub state: VcState,
-}
-
-impl InputVc {
-    /// Creates an idle VC with a buffer of `depth` flits.
-    pub fn new(depth: usize) -> Self {
-        Self {
-            buffer: FlitBuffer::new(depth),
-            state: VcState::Idle,
-        }
-    }
-
-    /// True when a new flit can be accepted (buffer space).
-    pub fn can_accept(&self) -> bool {
-        !self.buffer.is_full()
-    }
-
-    /// The output port the current packet is routed to, if RC completed.
-    pub fn routed_port(&self) -> Option<PortId> {
-        match self.state {
-            VcState::WaitingVc { out_port } => Some(out_port),
-            VcState::Active { out_port, .. } => Some(out_port),
-            _ => None,
-        }
-    }
 }
 
 /// Discriminant of [`VcState`], stored one byte per VC in the arena.
@@ -257,35 +224,40 @@ mod tests {
     }
 
     #[test]
-    fn starts_idle_with_space() {
-        let vc = InputVc::new(2);
-        assert_eq!(vc.state, VcState::Idle);
-        assert!(vc.can_accept());
-        assert_eq!(vc.routed_port(), None);
+    fn arena_starts_idle_with_space() {
+        let a = VcArena::new(3, 2);
+        assert_eq!(a.len(), 3);
+        for r in 0..a.len() {
+            assert_eq!(a.state(r), VcState::Idle);
+            assert!(!a.buffers[r].is_full());
+        }
     }
 
     #[test]
-    fn routed_port_by_state() {
-        let mut vc = InputVc::new(2);
-        vc.buffer.push(head());
-        vc.state = VcState::WaitingVc {
-            out_port: PortId(3),
-        };
-        assert_eq!(vc.routed_port(), Some(PortId(3)));
-        vc.state = VcState::Active {
-            out_port: PortId(3),
-            out_vc: 1,
-            active_at: 5,
-        };
-        assert_eq!(vc.routed_port(), Some(PortId(3)));
-        vc.state = VcState::Routing { done_at: 2 };
-        assert_eq!(vc.routed_port(), None);
+    fn arena_state_bridge_round_trips_every_variant() {
+        let mut a = VcArena::new(2, 2);
+        for s in [
+            VcState::Routing { done_at: 2 },
+            VcState::WaitingVc {
+                out_port: PortId(3),
+            },
+            VcState::Active {
+                out_port: PortId(3),
+                out_vc: 1,
+                active_at: 5,
+            },
+            VcState::Idle,
+        ] {
+            a.set_state(1, s);
+            assert_eq!(a.state(1), s);
+            assert_eq!(a.state(0), VcState::Idle, "neighbour untouched");
+        }
     }
 
     #[test]
     fn full_buffer_rejects() {
-        let mut vc = InputVc::new(1);
-        vc.buffer.push(head());
-        assert!(!vc.can_accept());
+        let mut a = VcArena::new(1, 1);
+        a.buffers[0].push(head());
+        assert!(a.buffers[0].is_full());
     }
 }

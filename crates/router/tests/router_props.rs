@@ -45,6 +45,7 @@ fn drive(
     let mut now = 0u64;
     // Credits return one cycle after traversal (sink consumers).
     let mut pending_credits: Vec<(u64, PortId, u8)> = Vec::new();
+    let mut out = Vec::new();
     while seen < total_flits && now < 200_000 {
         let mut i = 0;
         while i < pending_credits.len() {
@@ -58,7 +59,9 @@ fn drive(
         for inj in &mut injectors {
             inj.tick(&mut router);
         }
-        for t in router.step(now) {
+        out.clear();
+        router.step_into(now, &mut out);
+        for &t in &out {
             pending_credits.push((now + 1, t.out_port, t.out_vc));
             log.push((
                 now,

@@ -12,7 +12,7 @@
 //!   from the per-window counter columns), compute the power/latency Pareto
 //!   front per workload and choose the point minimising the
 //!   power × p95-latency objective. The `autotune` bench bin drives this
-//!   through `run_points_traced_sharded` and emits `TUNE_<sha>.json`.
+//!   through `erapid_core::runner::run_points` and emits `TUNE_<sha>.json`.
 //! * **Online** ([`controller`]): a deterministic windowed controller that
 //!   nudges the live DPM thresholds at `R_w` boundaries from the just-closed
 //!   window's link/buffer counters. All state is integer milli-units, so its

@@ -15,6 +15,7 @@ use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_suite::erapid_core::system::System;
 use erapid_suite::traffic::pattern::TrafficPattern;
+use std::num::NonZeroUsize;
 
 fn ownership_row(sys: &System, dest: u16) -> String {
     let mut s = format!("dest board {dest}: ");
@@ -50,7 +51,7 @@ fn main() {
             println!("  (board 0 — the only board sending to board 7 — has been");
             println!("   granted the idle wavelengths of the other boards)\n");
         }
-        sys.run();
+        sys.run_with(NonZeroUsize::MIN, &mut |_| {});
         let m = sys.metrics();
         let (grants, retunes) = sys.srs().reconfig_counts();
         println!(

@@ -8,9 +8,11 @@
 
 use erapid_suite::desim::rng::Pcg32;
 use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_suite::erapid_core::experiment::{default_plan, run_once};
+use erapid_suite::erapid_core::experiment::default_plan;
+use erapid_suite::erapid_core::runner::RunPoint;
 use erapid_suite::netstats::table::Table;
 use erapid_suite::traffic::pattern::TrafficPattern;
+use std::num::NonZeroUsize;
 
 /// Board-pair demand matrix of a pattern on the 64-node system: how many
 /// of board `s`'s nodes send to board `d` (sampled for random patterns).
@@ -73,7 +75,9 @@ fn main() {
         let m = demand_matrix(pattern, 8, 8);
         let cfg = SystemConfig::paper64(NetworkMode::PB);
         let plan = default_plan(cfg.schedule.window);
-        let r = run_once(cfg, pattern.clone(), load, plan);
+        let r = RunPoint::new(cfg, pattern.clone(), load, plan)
+            .execute(NonZeroUsize::MIN)
+            .result;
         t.row(vec![
             name.to_string(),
             format!("{} nodes", max_offboard(&m)),

@@ -11,12 +11,14 @@
 //! ```
 
 use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_suite::erapid_core::experiment::{default_plan, run_once};
+use erapid_suite::erapid_core::experiment::default_plan;
+use erapid_suite::erapid_core::runner::RunPoint;
 use erapid_suite::netstats::table::Table;
 use erapid_suite::photonics::bitrate::RateLadder;
 use erapid_suite::photonics::power::LinkPowerModel;
 use erapid_suite::powermgmt::policy::DpmPolicy;
 use erapid_suite::traffic::pattern::TrafficPattern;
+use std::num::NonZeroUsize;
 
 fn main() {
     let load = 0.4;
@@ -42,7 +44,9 @@ fn main() {
         let mut cfg = SystemConfig::paper64(NetworkMode::PB);
         cfg.dpm_override = Some(DpmPolicy::new(l_min, l_max, b_max));
         let plan = default_plan(cfg.schedule.window);
-        let r = run_once(cfg, TrafficPattern::Uniform, load, plan);
+        let r = RunPoint::new(cfg, TrafficPattern::Uniform, load, plan)
+            .execute(NonZeroUsize::MIN)
+            .result;
         t.row(vec![
             format!("{l_min}"),
             format!("{l_max}"),

@@ -7,8 +7,10 @@
 //! ```
 
 use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_suite::erapid_core::experiment::{default_plan, run_once};
+use erapid_suite::erapid_core::experiment::default_plan;
+use erapid_suite::erapid_core::runner::RunPoint;
 use erapid_suite::traffic::pattern::TrafficPattern;
+use std::num::NonZeroUsize;
 
 fn main() {
     // 1. Pick a configuration. `paper64` is the evaluation system of the
@@ -36,7 +38,9 @@ fn main() {
 
     // 3. Run: warm-up, labelled measurement interval, drain.
     let plan = default_plan(cfg.schedule.window);
-    let r = run_once(cfg, pattern, load, plan);
+    let r = RunPoint::new(cfg, pattern, load, plan)
+        .execute(NonZeroUsize::MIN)
+        .result;
 
     // 4. Report.
     println!("\nresults at load {:.1}:", r.load);

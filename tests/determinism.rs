@@ -1,12 +1,17 @@
 //! Reproducibility: identical seeds give identical runs, different seeds
-//! give statistically similar but non-identical runs, and traffic traces
-//! replay exactly.
+//! give statistically similar but non-identical runs, traffic traces
+//! replay exactly, and every way of executing a point agrees.
 
 use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
+use erapid_suite::erapid_core::experiment::RunResult;
+use erapid_suite::erapid_core::runner::{point_threads_from_env, run_points, Outcome, RunPoint};
 use erapid_suite::erapid_core::system::System;
+use erapid_suite::erapid_telemetry::TraceConfig;
 use erapid_suite::traffic::pattern::TrafficPattern;
 use erapid_suite::traffic::trace::TraceRecorder;
+use std::num::NonZeroUsize;
+use std::sync::Arc;
 
 fn plan() -> PhasePlan {
     PhasePlan::new(2000, 4000).with_max_cycles(30_000)
@@ -16,7 +21,7 @@ fn run_with_seed(seed: u64, mode: NetworkMode) -> (u64, u64, f64, f64, u64) {
     let mut cfg = SystemConfig::small(mode);
     cfg.seed = seed;
     let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.4, plan());
-    let end = sys.run();
+    let end = sys.run_with(NonZeroUsize::MIN, &mut |_| {});
     let m = sys.metrics();
     (
         m.injected_total,
@@ -98,51 +103,10 @@ fn trace_record_replay_round_trip() {
 }
 
 #[test]
-fn parallel_sweep_identical_to_sequential() {
-    // The run-level executor must be invisible in the results: the same
-    // sweep on 1 thread and on 4 threads returns the same RunResults —
-    // every field, in the same order.
-    use erapid_suite::erapid_core::experiment::sweep_loads_with;
-    use std::num::NonZeroUsize;
-    let loads = [0.2, 0.5, 0.8];
-    for mode in [NetworkMode::NpNb, NetworkMode::PB] {
-        let make_cfg = |m| {
-            let mut cfg = SystemConfig::small(m);
-            cfg.seed = 11;
-            cfg
-        };
-        let seq = sweep_loads_with(
-            NonZeroUsize::new(1).unwrap(),
-            mode,
-            &TrafficPattern::Complement,
-            &loads,
-            make_cfg,
-        );
-        let par = sweep_loads_with(
-            NonZeroUsize::new(4).unwrap(),
-            mode,
-            &TrafficPattern::Complement,
-            &loads,
-            make_cfg,
-        );
-        assert_eq!(seq.len(), par.len());
-        for (s, p) in seq.iter().zip(&par) {
-            // Full-struct equality: every field of every RunResult.
-            assert_eq!(
-                s, p,
-                "mode {mode:?} load {} diverged under parallel execution",
-                s.load
-            );
-        }
-    }
-}
-
-#[test]
 fn same_seed_and_fault_plan_reproduce_the_run_exactly() {
     // A faulted run is still a pure function of (config, pattern, load,
     // plan): the FaultPlan travels inside the config, so replaying the
     // same plan with the same seed gives a byte-identical RunResult.
-    use erapid_suite::erapid_core::experiment::run_once;
     use erapid_suite::erapid_core::faults::{FaultKind, FaultPlan};
     let faults = FaultPlan::new()
         .receiver_outage(3, 1, 3000, 9000)
@@ -159,9 +123,46 @@ fn same_seed_and_fault_plan_reproduce_the_run_exactly() {
         let mut cfg = SystemConfig::small(mode);
         cfg.seed = 17;
         cfg.faults = faults.clone();
-        let a = run_once(cfg.clone(), TrafficPattern::Complement, 0.4, plan());
-        let b = run_once(cfg, TrafficPattern::Complement, 0.4, plan());
+        let run = |cfg| {
+            RunPoint::new(cfg, TrafficPattern::Complement, 0.4, plan())
+                .execute(NonZeroUsize::MIN)
+                .result
+        };
+        let a = run(cfg.clone());
+        let b = run(cfg);
         assert_eq!(a, b, "mode {mode:?} faulted run not reproducible");
+    }
+}
+
+#[test]
+fn parallel_sweep_identical_to_sequential() {
+    // The run-level executor must be invisible in the results: the same
+    // sweep on 1 thread and on 4 threads returns the same RunResults —
+    // every field, in the same order.
+    let loads = [0.2, 0.5, 0.8];
+    for mode in [NetworkMode::NpNb, NetworkMode::PB] {
+        let points = || -> Vec<RunPoint> {
+            loads
+                .iter()
+                .map(|&load| {
+                    let mut cfg = SystemConfig::small(mode);
+                    cfg.seed = 11;
+                    RunPoint::new(cfg, TrafficPattern::Complement, load, plan())
+                })
+                .collect()
+        };
+        let one = NonZeroUsize::MIN;
+        let seq = run_points(one, one, points());
+        let par = run_points(NonZeroUsize::new(4).unwrap(), one, points());
+        assert_eq!(seq.len(), par.len());
+        for (s, p) in seq.iter().zip(&par) {
+            // Full-struct equality: every field of every RunResult.
+            assert_eq!(
+                s.result, p.result,
+                "mode {mode:?} load {} diverged under parallel execution",
+                s.result.load
+            );
+        }
     }
 }
 
@@ -170,10 +171,7 @@ fn parallel_sweep_identical_to_sequential_under_faults() {
     // The run-level executor must stay invisible when the points carry an
     // active fault schedule: 1-thread and 4-thread sweeps of faulted
     // configs return identical RunResults in identical order.
-    use erapid_suite::erapid_core::experiment::TraceSource;
     use erapid_suite::erapid_core::faults::FaultPlan;
-    use erapid_suite::erapid_core::runner::{run_points, RunPoint};
-    use std::num::NonZeroUsize;
     let points = |_| -> Vec<RunPoint> {
         [0.2, 0.5, 0.8]
             .iter()
@@ -182,24 +180,19 @@ fn parallel_sweep_identical_to_sequential_under_faults() {
                 cfg.seed = 11;
                 cfg.faults = FaultPlan::relock_storm(9, cfg.boards, 2500, 5500, 6, 300)
                     .receiver_outage(3, 1, 3000, 6000);
-                RunPoint {
-                    cfg,
-                    pattern: TrafficPattern::Complement,
-                    load,
-                    plan: plan(),
-                    source: TraceSource::Generate,
-                }
+                RunPoint::new(cfg, TrafficPattern::Complement, load, plan())
             })
             .collect()
     };
-    let seq = run_points(NonZeroUsize::new(1).unwrap(), points(()));
-    let par = run_points(NonZeroUsize::new(4).unwrap(), points(()));
+    let one = NonZeroUsize::MIN;
+    let seq = run_points(one, one, points(()));
+    let par = run_points(NonZeroUsize::new(4).unwrap(), one, points(()));
     assert_eq!(seq.len(), par.len());
     for (s, p) in seq.iter().zip(&par) {
         assert_eq!(
-            s, p,
+            s.result, p.result,
             "faulted load {} diverged under parallel execution",
-            s.load
+            s.result.load
         );
     }
 }
@@ -267,9 +260,6 @@ fn sharded_run_identical_to_sequential_across_worker_counts() {
     // event stream, the per-window metric snapshots and the per-packet
     // delivery log, for any worker count (including more workers than
     // boards and more workers than cores).
-    use erapid_suite::erapid_core::experiment::{run_once_traced, run_once_traced_sharded};
-    use erapid_suite::erapid_telemetry::TraceConfig;
-    use std::num::NonZeroUsize;
     for mode in NetworkMode::all() {
         let mk = || {
             let mut cfg = SystemConfig::small(mode);
@@ -278,15 +268,12 @@ fn sharded_run_identical_to_sequential_across_worker_counts() {
             cfg.trace = TraceConfig::with_capacity(1 << 18);
             cfg
         };
-        let (seq, seq_trace) = run_once_traced(mk(), TrafficPattern::Complement, 0.6, plan());
+        let point = || RunPoint::new(mk(), TrafficPattern::Complement, 0.6, plan());
+        let seq = point().execute(NonZeroUsize::MIN);
+        let (seq, seq_trace) = (seq.result, seq.trace);
         for workers in [2usize, 4, 8] {
-            let (shard, shard_trace) = run_once_traced_sharded(
-                mk(),
-                TrafficPattern::Complement,
-                0.6,
-                plan(),
-                NonZeroUsize::new(workers).unwrap(),
-            );
+            let shard = point().execute(NonZeroUsize::new(workers).unwrap());
+            let (shard, shard_trace) = (shard.result, shard.trace);
             assert_eq!(
                 seq, shard,
                 "mode {mode:?}: RunResult diverged at {workers} workers"
@@ -311,9 +298,7 @@ fn sharded_run_identical_to_sequential_across_worker_counts() {
 fn sharded_run_identical_under_faults() {
     // Fault application stays a sequential phase, so a scheduled outage /
     // relock storm must not open any worker-count dependence.
-    use erapid_suite::erapid_core::experiment::{run_once, run_once_sharded};
     use erapid_suite::erapid_core::faults::FaultPlan;
-    use std::num::NonZeroUsize;
     for mode in [NetworkMode::NpB, NetworkMode::PB] {
         let mk = || {
             let mut cfg = SystemConfig::small(mode);
@@ -322,15 +307,14 @@ fn sharded_run_identical_under_faults() {
                 .receiver_outage(3, 1, 3000, 6000);
             cfg
         };
-        let seq = run_once(mk(), TrafficPattern::Complement, 0.5, plan());
+        let run = |workers| {
+            RunPoint::new(mk(), TrafficPattern::Complement, 0.5, plan())
+                .execute(NonZeroUsize::new(workers).unwrap())
+                .result
+        };
+        let seq = run(1);
         for workers in [2usize, 8] {
-            let shard = run_once_sharded(
-                mk(),
-                TrafficPattern::Complement,
-                0.5,
-                plan(),
-                NonZeroUsize::new(workers).unwrap(),
-            );
+            let shard = run(workers);
             assert_eq!(
                 seq, shard,
                 "mode {mode:?}: faulted run diverged at {workers} workers"
@@ -345,16 +329,14 @@ fn sharded_run_identical_at_env_point_workers() {
     // this test picks the knob up so the whole determinism file exercises
     // the sharded engine at the CI-chosen worker counts. Without the env
     // var it degenerates to the (still asserted) 1-worker fallback path.
-    use erapid_suite::erapid_core::experiment::{run_once, run_once_sharded};
-    use erapid_suite::erapid_core::runner::point_threads_from_env;
     let workers = point_threads_from_env();
-    let mk = || {
+    let point = || {
         let mut cfg = SystemConfig::small(NetworkMode::PB);
         cfg.seed = 29;
-        cfg
+        RunPoint::new(cfg, TrafficPattern::Uniform, 0.4, plan())
     };
-    let seq = run_once(mk(), TrafficPattern::Uniform, 0.4, plan());
-    let shard = run_once_sharded(mk(), TrafficPattern::Uniform, 0.4, plan(), workers);
+    let seq = point().execute(NonZeroUsize::MIN).result;
+    let shard = point().execute(workers).result;
     assert_eq!(seq, shard, "sharded run diverged at {workers} workers");
 }
 
@@ -365,6 +347,127 @@ fn run_end_is_monotone_in_load() {
     let mut cfg = SystemConfig::small(NetworkMode::NpNb);
     cfg.seed = 5;
     let mut sys = System::new(cfg, TrafficPattern::Complement, 0.9, plan());
-    let end = sys.run();
+    let end = sys.run_with(NonZeroUsize::MIN, &mut |_| {});
     assert!(end <= plan().max_cycles);
+}
+
+/// Every f64 of a [`RunResult`] as raw bits, plus its counters: equality
+/// here is bit-for-bit, stricter than `PartialEq` on the floats.
+fn result_bits(r: &RunResult) -> [u64; 16] {
+    [
+        r.load.to_bits(),
+        r.throughput.to_bits(),
+        r.throughput_norm.to_bits(),
+        r.latency.to_bits(),
+        r.latency_p95.to_bits(),
+        r.power_mw.to_bits(),
+        r.src_path.to_bits(),
+        r.tx_wait.to_bits(),
+        r.undrained,
+        r.grants,
+        r.retunes,
+        r.ls_retries,
+        r.ls_aborts,
+        r.injected,
+        r.delivered,
+        r.cycles,
+    ]
+}
+
+/// Asserts two outcomes agree in everything but wall time: result bits,
+/// trace records, metric windows and the packet-delivery log.
+fn assert_same_outcome(want: &Outcome, got: &Outcome, label: &str) {
+    assert_eq!(
+        result_bits(&want.result),
+        result_bits(&got.result),
+        "{label}: RunResult bits diverged"
+    );
+    assert_eq!(
+        want.trace.records, got.trace.records,
+        "{label}: trace records diverged"
+    );
+    assert_eq!(
+        want.trace.windows, got.trace.windows,
+        "{label}: metric windows diverged"
+    );
+    assert_eq!(
+        want.trace.packets, got.trace.packets,
+        "{label}: packet log diverged"
+    );
+}
+
+/// The equivalence table for the one run entry point. Every way of
+/// executing a point through [`RunPoint::execute`] — generated or replayed
+/// traffic × injection recording off or on × 1 or 2 board workers (and
+/// the `ERAPID_POINT_THREADS` value, which `verify.sh` sets to 2 and 8) —
+/// reproduces the reference run bit for bit, and every recording it makes
+/// is byte-identical to the reference recording. A [`run_points`] batch at
+/// 1 and 2 threads matches per-point `execute`.
+#[test]
+fn execute_paths_agree() {
+    let one = NonZeroUsize::MIN;
+    let two = NonZeroUsize::new(2).unwrap();
+    let cfg = |record: bool| {
+        let mut cfg = SystemConfig::small(NetworkMode::PB);
+        cfg.seed = 29;
+        cfg.trace = TraceConfig::with_capacity(1 << 18);
+        cfg.packet_log = true;
+        cfg.record_injections = record;
+        cfg
+    };
+    let generated = |record| RunPoint::new(cfg(record), TrafficPattern::Complement, 0.5, plan());
+
+    let reference = generated(true).execute(one);
+    assert!(!reference.trace.records.is_empty(), "trace must be on");
+    let recording = Arc::new(reference.recording.clone().expect("recording on"));
+    assert!(!recording.entries.is_empty(), "recording must hold traffic");
+    let recording_bytes = recording.to_binary();
+
+    let mut point_threads = vec![one, two];
+    if !point_threads.contains(&point_threads_from_env()) {
+        point_threads.push(point_threads_from_env());
+    }
+    for replay in [false, true] {
+        for record in [false, true] {
+            for &pt in &point_threads {
+                let label = format!("replay={replay} record={record} point_threads={pt}");
+                let point = if replay {
+                    RunPoint::replay(cfg(record), Arc::clone(&recording), plan())
+                } else {
+                    generated(record)
+                };
+                let out = point.execute(pt);
+                assert_same_outcome(&reference, &out, &label);
+                match &out.recording {
+                    None => assert!(!record, "{label}: recording missing"),
+                    Some(t) => {
+                        assert!(record, "{label}: recording without the flag");
+                        assert_eq!(t.to_binary(), recording_bytes, "{label}: recording bytes");
+                    }
+                }
+            }
+        }
+    }
+
+    let batch = || {
+        vec![
+            generated(false),
+            RunPoint::new(cfg(true), TrafficPattern::Uniform, 0.3, plan()),
+            RunPoint::replay(cfg(false), Arc::clone(&recording), plan()),
+        ]
+    };
+    let singles: Vec<Outcome> = batch().into_iter().map(|p| p.execute(one)).collect();
+    for threads in [one, two] {
+        let outs = run_points(threads, one, batch());
+        assert_eq!(outs.len(), singles.len());
+        for (i, (want, got)) in singles.iter().zip(&outs).enumerate() {
+            let label = format!("run_points threads={threads} point {i}");
+            assert_same_outcome(want, got, &label);
+            assert_eq!(
+                want.recording.as_ref().map(|t| t.to_binary()),
+                got.recording.as_ref().map(|t| t.to_binary()),
+                "{label}: recording bytes"
+            );
+        }
+    }
 }

@@ -26,6 +26,7 @@ use erapid_suite::erapid_core::system::System;
 use erapid_suite::erapid_telemetry::TraceConfig;
 use erapid_suite::traffic::pattern::TrafficPattern;
 use erapid_suite::traffic::trace::InjectionTrace;
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 /// One warm-up window, two measured, a hard cap past drain: long enough
@@ -103,7 +104,7 @@ fn fingerprint_of(sys: &System) -> Fingerprint {
 }
 
 fn fingerprint(mut sys: System) -> Fingerprint {
-    sys.run();
+    sys.run_with(NonZeroUsize::MIN, &mut |_| {});
     fingerprint_of(&sys)
 }
 
@@ -327,7 +328,7 @@ fn run_traced() -> (Fingerprint, u64, u64) {
     let mut cfg = SystemConfig::small(NetworkMode::PB);
     cfg.trace = TraceConfig::with_capacity(1 << 20);
     let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.5, golden_plan());
-    sys.run();
+    sys.run_with(NonZeroUsize::MIN, &mut |_| {});
     let records = sys.take_trace_records();
     assert_eq!(sys.trace_dropped(), 0, "trace ring overflowed; widen it");
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -348,11 +349,14 @@ fn run_traced() -> (Fingerprint, u64, u64) {
 #[test]
 #[ignore = "fixture regeneration: run manually with --ignored --nocapture"]
 fn regen_collective_fixture() {
-    use erapid_suite::erapid_core::experiment::run_once_recorded;
+    use erapid_suite::erapid_core::runner::RunPoint;
     use erapid_suite::erapid_workloads::ScenarioSpec;
     let mut cfg = SystemConfig::small(NetworkMode::NpNb);
     cfg.scenario = Some(ScenarioSpec::collective());
-    let (result, mut trace) = run_once_recorded(cfg, TrafficPattern::Uniform, 0.6, golden_plan());
+    cfg.record_injections = true;
+    let out =
+        RunPoint::new(cfg, TrafficPattern::Uniform, 0.6, golden_plan()).execute(NonZeroUsize::MIN);
+    let (result, mut trace) = (out.result, out.recording.expect("recording on"));
     trace.meta.pattern = "collective".to_string();
     trace.meta.git_sha = "fixture".to_string();
     trace
@@ -952,14 +956,13 @@ fn controller_runs_match_pinned_fingerprints() {
 /// count must not perturb a single threshold move.
 #[test]
 fn sharded_controller_runs_match_pinned_fingerprints() {
-    use std::num::NonZeroUsize;
     let two = NonZeroUsize::new(2).unwrap();
     let cases = controller_cases();
     assert_eq!(cases.len(), CONTROLLER_PINS.len(), "pin table out of date");
     for ((name, cfg), (pin_name, pin)) in cases.into_iter().zip(CONTROLLER_PINS) {
         assert_eq!(&name, pin_name, "pin table order drifted");
         let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.5, golden_plan());
-        sys.run_sharded(two);
+        sys.run_with(two, &mut |_| {});
         assert_eq!(
             &fingerprint_of(&sys),
             pin,
@@ -983,14 +986,13 @@ fn traced_event_stream_matches_pin() {
 /// boxes, exercising the yield path of the gate).
 #[test]
 fn sharded_generated_runs_match_pinned_fingerprints() {
-    use std::num::NonZeroUsize;
     let two = NonZeroUsize::new(2).unwrap();
     let cases = generated_cases();
     assert_eq!(cases.len(), GENERATED_PINS.len(), "pin table out of date");
     for ((name, cfg, pattern, load), (pin_name, pin)) in cases.into_iter().zip(GENERATED_PINS) {
         assert_eq!(&name, pin_name, "pin table order drifted");
         let mut sys = System::new(cfg.clone(), pattern.clone(), load, golden_plan());
-        sys.run_sharded(two);
+        sys.run_with(two, &mut |_| {});
         assert_eq!(
             &fingerprint_of(&sys),
             pin,
@@ -999,7 +1001,7 @@ fn sharded_generated_runs_match_pinned_fingerprints() {
         if name == "b8-P-B-complement" {
             for workers in [4usize, 8] {
                 let mut sys = System::new(cfg.clone(), pattern.clone(), load, golden_plan());
-                sys.run_sharded(NonZeroUsize::new(workers).unwrap());
+                sys.run_with(NonZeroUsize::new(workers).unwrap(), &mut |_| {});
                 assert_eq!(
                     &fingerprint_of(&sys),
                     pin,
@@ -1013,7 +1015,6 @@ fn sharded_generated_runs_match_pinned_fingerprints() {
 /// Sharded fixture replays reproduce the sequential replay pins.
 #[test]
 fn sharded_fixture_replays_match_pinned_fingerprints_at_b8() {
-    use std::num::NonZeroUsize;
     let two = NonZeroUsize::new(2).unwrap();
     let cases = replay_cases();
     assert_eq!(cases.len(), REPLAY_PINS.len(), "pin table out of date");
@@ -1022,7 +1023,7 @@ fn sharded_fixture_replays_match_pinned_fingerprints_at_b8() {
         let trace = InjectionTrace::load(&fixture_path(fixture)).expect("fixture loads");
         let mut sys =
             System::with_trace(SystemConfig::paper64(mode), trace.replayer(), golden_plan());
-        sys.run_sharded(two);
+        sys.run_with(two, &mut |_| {});
         assert_eq!(
             &fingerprint_of(&sys),
             pin,
@@ -1036,12 +1037,11 @@ fn sharded_fixture_replays_match_pinned_fingerprints_at_b8() {
 /// event relative to the sequential engine.
 #[test]
 fn sharded_traced_event_stream_matches_pin() {
-    use std::num::NonZeroUsize;
     for workers in [2usize, 4] {
         let mut cfg = SystemConfig::small(NetworkMode::PB);
         cfg.trace = TraceConfig::with_capacity(1 << 20);
         let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.5, golden_plan());
-        sys.run_sharded(NonZeroUsize::new(workers).unwrap());
+        sys.run_with(NonZeroUsize::new(workers).unwrap(), &mut |_| {});
         let records = sys.take_trace_records();
         assert_eq!(sys.trace_dropped(), 0, "trace ring overflowed; widen it");
         let mut h = 0xcbf2_9ce4_8422_2325u64;

@@ -18,10 +18,8 @@
 
 use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
-use erapid_suite::erapid_core::experiment::{
-    run_once, run_once_recorded, run_once_replayed, trace_meta, RunResult, TraceSource,
-};
-use erapid_suite::erapid_core::runner::{run_points_traced, RunPoint};
+use erapid_suite::erapid_core::experiment::{trace_meta, RunResult};
+use erapid_suite::erapid_core::runner::{run_points, RunPoint};
 use erapid_suite::erapid_core::system::System;
 use erapid_suite::traffic::pattern::TrafficPattern;
 use erapid_suite::traffic::trace::InjectionTrace;
@@ -61,10 +59,12 @@ fn final_lc_levels(sys: &System) -> Vec<u8> {
 /// deterministic replay: one through the public result path, one kept
 /// alive to inspect the SRS state.
 fn replay_fixture(name: &str, mode: NetworkMode) -> (RunResult, Vec<u8>, u64) {
-    let trace = InjectionTrace::load(&fixture_path(name)).expect("fixture loads");
-    let result = run_once_replayed(SystemConfig::small(mode), &trace, short_plan());
+    let trace = Arc::new(InjectionTrace::load(&fixture_path(name)).expect("fixture loads"));
+    let result = RunPoint::replay(SystemConfig::small(mode), Arc::clone(&trace), short_plan())
+        .execute(NonZeroUsize::MIN)
+        .result;
     let mut sys = System::with_trace(SystemConfig::small(mode), trace.replayer(), short_plan());
-    sys.run();
+    sys.run_with(NonZeroUsize::MIN, &mut |_| {});
     let delivered = sys.metrics().delivered_total;
     (result, final_lc_levels(&sys), delivered)
 }
@@ -79,8 +79,10 @@ fn regen_fixtures() {
         ("uniform_b4d4.ertr", TrafficPattern::Uniform, 0.4),
         ("complement_b4d4.ertr", TrafficPattern::Complement, 0.6),
     ] {
-        let cfg = SystemConfig::small(NetworkMode::NpNb);
-        let (result, mut trace) = run_once_recorded(cfg, pattern, load, short_plan());
+        let mut cfg = SystemConfig::small(NetworkMode::NpNb);
+        cfg.record_injections = true;
+        let out = RunPoint::new(cfg, pattern, load, short_plan()).execute(NonZeroUsize::MIN);
+        let (result, mut trace) = (out.result, out.recording.expect("recording on"));
         trace.meta.git_sha = "fixture".to_string();
         trace.save(&fixture_path(name)).unwrap();
         println!(
@@ -163,7 +165,7 @@ fn golden_fixtures_inject_fully_and_drain() {
         for mode in NetworkMode::all() {
             let mut sys =
                 System::with_trace(SystemConfig::small(mode), trace.replayer(), short_plan());
-            let end = sys.run();
+            let end = sys.run_with(NonZeroUsize::MIN, &mut |_| {});
             let due = trace.entries.iter().filter(|e| e.cycle <= end).count() as u64;
             assert_eq!(
                 sys.metrics().injected_total,
@@ -241,13 +243,26 @@ fn golden_complement_npb() {
 /// criterion of the replay harness.
 #[test]
 fn record_replay_reproduces_runresult_byte_identically() {
-    let cfg = SystemConfig::small(NetworkMode::PB);
-    let plain = run_once(cfg.clone(), TrafficPattern::Uniform, 0.4, short_plan());
-    let (recorded, trace) =
-        run_once_recorded(cfg.clone(), TrafficPattern::Uniform, 0.4, short_plan());
-    assert_eq!(plain, recorded, "recording must not perturb the run");
-    let replayed = run_once_replayed(cfg, &trace, short_plan());
-    assert_eq!(replayed, recorded, "replay must reproduce the recording");
+    let one = NonZeroUsize::MIN;
+    let cfg = |record: bool| {
+        let mut cfg = SystemConfig::small(NetworkMode::PB);
+        cfg.record_injections = record;
+        cfg
+    };
+    let plain = RunPoint::new(cfg(false), TrafficPattern::Uniform, 0.4, short_plan())
+        .execute(one)
+        .result;
+    let recorded =
+        RunPoint::new(cfg(true), TrafficPattern::Uniform, 0.4, short_plan()).execute(one);
+    let trace = Arc::new(recorded.recording.expect("recording on"));
+    assert_eq!(plain, recorded.result, "recording must not perturb the run");
+    let replayed = RunPoint::replay(cfg(false), trace, short_plan())
+        .execute(one)
+        .result;
+    assert_eq!(
+        replayed, recorded.result,
+        "replay must reproduce the recording"
+    );
 }
 
 /// Replaying a fixture through the parallel executor is byte-identical to
@@ -262,24 +277,18 @@ fn fixture_replay_parallel_matches_sequential() {
             .map(|&mode| {
                 let mut cfg = SystemConfig::small(mode);
                 cfg.packet_log = true;
-                RunPoint {
-                    cfg,
-                    pattern: TrafficPattern::Uniform,
-                    load: 0.0,
-                    plan: short_plan(),
-                    source: TraceSource::Replay(Arc::clone(&trace)),
-                }
+                RunPoint::replay(cfg, Arc::clone(&trace), short_plan())
             })
             .collect()
     };
-    let par = run_points_traced(NonZeroUsize::new(4).unwrap(), points());
-    let seq = run_points_traced(NonZeroUsize::MIN, points());
+    let par = run_points(NonZeroUsize::new(4).unwrap(), NonZeroUsize::MIN, points());
+    let seq = run_points(NonZeroUsize::MIN, NonZeroUsize::MIN, points());
     assert_eq!(par.len(), seq.len());
-    for (mode, ((pr, pt), (sr, st))) in NetworkMode::all().iter().zip(par.iter().zip(&seq)) {
-        assert_eq!(pr, sr, "{}: RunResult diverged", mode.name());
+    for (mode, (p, s)) in NetworkMode::all().iter().zip(par.iter().zip(&seq)) {
+        assert_eq!(p.result, s.result, "{}: RunResult diverged", mode.name());
         assert_eq!(
-            pt.packets,
-            st.packets,
+            p.trace.packets,
+            s.trace.packets,
             "{}: packet log diverged",
             mode.name()
         );

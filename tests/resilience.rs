@@ -6,12 +6,13 @@
 
 use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::erapid_core::config::{ControlPlane, NetworkMode, SystemConfig};
-use erapid_suite::erapid_core::experiment::run_once;
 use erapid_suite::erapid_core::faults::{FaultKind, FaultPlan};
+use erapid_suite::erapid_core::runner::RunPoint;
 use erapid_suite::erapid_core::system::System;
 use erapid_suite::photonics::rwa::StaticRwa;
 use erapid_suite::photonics::wavelength::BoardId;
 use erapid_suite::traffic::pattern::TrafficPattern;
+use std::num::NonZeroUsize;
 
 const FAULT_AT: u64 = 4000;
 
@@ -39,7 +40,7 @@ fn run_with_fault(mode: NetworkMode, load: f64) -> (u64, u64, u64) {
         sys.step();
     }
     sys.fail_receiver(3, w);
-    sys.run();
+    sys.run_with(NonZeroUsize::MIN, &mut |_| {});
     let m = sys.metrics();
     (
         m.delivered_total,
@@ -75,7 +76,7 @@ fn reconfigured_network_keeps_comparable_delivery_volume() {
     let (delivered_ok, _, _) = {
         let cfg = SystemConfig::small(NetworkMode::NpB);
         let mut sys = System::new(cfg, TrafficPattern::Complement, 0.3, plan());
-        sys.run();
+        sys.run_with(NonZeroUsize::MIN, &mut |_| {});
         (sys.metrics().delivered_total, 0u64, 0u64)
     };
     let (delivered_fault, undrained, _) = run_with_fault(NetworkMode::NpB, 0.3);
@@ -96,19 +97,23 @@ fn token_loss_round_completes_via_retry_instead_of_deadlocking() {
     // First bandwidth boundary is t = 4000 (window 2000, even windows
     // trigger Bandwidth); 10 cycles later the token is mid-ring.
     cfg.faults = FaultPlan::new().at(4010, FaultKind::TokenLoss { victim: 1 });
-    let faulted = run_once(
+    let faulted = RunPoint::new(
         cfg.clone(),
         TrafficPattern::Complement,
         0.4,
         PhasePlan::new(2000, 6000).with_max_cycles(40_000),
-    );
+    )
+    .execute(NonZeroUsize::MIN)
+    .result;
     cfg.faults = FaultPlan::new();
-    let clean = run_once(
+    let clean = RunPoint::new(
         cfg,
         TrafficPattern::Complement,
         0.4,
         PhasePlan::new(2000, 6000).with_max_cycles(40_000),
-    );
+    )
+    .execute(NonZeroUsize::MIN)
+    .result;
     assert!(
         faulted.ls_retries >= 1,
         "the watchdog must have resent the lost token"
@@ -131,13 +136,17 @@ fn throughput_recovers_after_receiver_repair() {
     let plan = PhasePlan::new(12_000, 12_000).with_max_cycles(80_000);
     let mut cfg = SystemConfig::small(NetworkMode::NpB);
     cfg.faults = outage;
-    let repaired = run_once(cfg, TrafficPattern::Complement, 0.3, plan);
-    let clean = run_once(
+    let repaired = RunPoint::new(cfg, TrafficPattern::Complement, 0.3, plan)
+        .execute(NonZeroUsize::MIN)
+        .result;
+    let clean = RunPoint::new(
         SystemConfig::small(NetworkMode::NpB),
         TrafficPattern::Complement,
         0.3,
         plan,
-    );
+    )
+    .execute(NonZeroUsize::MIN)
+    .result;
     assert_eq!(repaired.undrained, 0, "no packet may stay stuck");
     let rel = (repaired.throughput - clean.throughput).abs() / clean.throughput;
     assert!(
@@ -166,7 +175,7 @@ fn repair_restores_the_static_network_too() {
         sys.step();
     }
     sys.repair_receiver(3, w);
-    sys.run();
+    sys.run_with(NonZeroUsize::MIN, &mut |_| {});
     let m = sys.metrics();
     assert_eq!(
         m.tracker.outstanding(),
@@ -188,7 +197,7 @@ fn conservation_holds_across_failures() {
         }
         sys.fail_receiver(3, 1);
         sys.fail_receiver(2, 2);
-        sys.run();
+        sys.run_with(NonZeroUsize::MIN, &mut |_| {});
         let m = sys.metrics();
         assert!(m.delivered_total <= m.injected_total);
         assert!(m.delivered_total > 0);
