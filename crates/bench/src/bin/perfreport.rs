@@ -13,8 +13,9 @@
 //!   route-phase share (`route_frac`) that `--smoke` gates against
 //!   regression,
 //! * a fixed reduced-grid smoke rate (`cycles_per_sec_smoke`) that
-//!   `verify.sh` re-measures via `--smoke` and compares against the
-//!   committed baseline, failing on a >20% regression,
+//!   `verify.sh` re-measures via `--smoke` (median of
+//!   [`SMOKE_REPEATS`] samples, as is the route share) and compares
+//!   against the committed baseline, failing on a >20% regression,
 //! * an intra-point speedup measurement: the heaviest smoke point run
 //!   through the board-sharded engine (DESIGN.md §12) against the
 //!   sequential engine, identical results asserted and — whenever the
@@ -76,6 +77,21 @@ fn smoke_points() -> Vec<RunPoint> {
         }
     }
     points
+}
+
+/// Samples `--smoke` takes of the rate and of the route share; each gate
+/// compares their median, so one slow sample on a shared box cannot fail
+/// it alone.
+const SMOKE_REPEATS: usize = 5;
+
+/// `(median, min, max)` of `samples` (non-empty).
+fn median_min_max(mut samples: Vec<f64>) -> (f64, f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    (
+        samples[samples.len() / 2],
+        samples[0],
+        samples[samples.len() - 1],
+    )
 }
 
 /// Measures the smoke grid sequentially, returning (cycles/sec, cycles).
@@ -205,16 +221,21 @@ fn route_frac(t: &PhaseTimers) -> f64 {
 }
 
 /// `--smoke` mode: re-measure the reduced grid and fail (exit 1) when the
-/// rate regressed more than 20% below the committed baseline; likewise
-/// fail when the route-phase *share* of the representative profile grew
-/// more than 20% over the baseline's `route_frac` (a share gate is
-/// box-speed independent — it catches the router hot path slipping back
-/// toward dominating the cycle). Then gate the intra-point sharded
-/// speedup. With no baseline carrying a field yet, that measurement is
-/// informational.
+/// median rate regressed more than 20% below the committed baseline;
+/// likewise fail when the median route-phase *share* of the
+/// representative profile grew more than 20% over the baseline's
+/// `route_frac` (a share gate is box-speed independent — it catches the
+/// router hot path slipping back toward dominating the cycle). Then gate
+/// the intra-point sharded speedup. With no baseline carrying a field
+/// yet, that measurement is informational.
 fn run_smoke(baseline_path: Option<&str>, seq_flag: bool) {
-    let (rate, cycles) = measure_smoke();
-    println!("smoke: {rate:.0} sim cycles/sec ({cycles} cycles, reduced grid, 1 thread)");
+    let samples: Vec<(f64, u64)> = (0..SMOKE_REPEATS).map(|_| measure_smoke()).collect();
+    let cycles = samples[0].1;
+    let (rate, lo, hi) = median_min_max(samples.iter().map(|&(r, _)| r).collect());
+    println!(
+        "smoke: {rate:.0} sim cycles/sec, median of {SMOKE_REPEATS} (min {lo:.0}, max {hi:.0}; \
+         {cycles} cycles, reduced grid, 1 thread)"
+    );
     let baseline = baseline_smoke_rate(baseline_path);
     match &baseline {
         Some((path, base)) => {
@@ -228,11 +249,17 @@ fn run_smoke(baseline_path: Option<&str>, seq_flag: bool) {
         }
         None => println!("no committed baseline with cycles_per_sec_smoke; recording only"),
     }
-    let (timers, _) = profile_representative();
-    let frac = route_frac(&timers);
+    let (frac, lo, hi) = median_min_max(
+        (0..SMOKE_REPEATS)
+            .map(|_| route_frac(&profile_representative().0))
+            .collect(),
+    );
     println!(
-        "smoke: route-phase share {:.1}% of cycle time",
-        100.0 * frac
+        "smoke: route-phase share {:.1}% of cycle time, median of {SMOKE_REPEATS} \
+         (min {:.1}%, max {:.1}%)",
+        100.0 * frac,
+        100.0 * lo,
+        100.0 * hi
     );
     match baseline
         .as_ref()

@@ -1,5 +1,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(clippy::perf)]
+// Only the board workers (`shard`, `SrsLane::from_parts`) opt back in.
+#![deny(unsafe_code)]
 //! # erapid-core — the E-RAPID system model
 //!
 //! This crate is the paper's primary contribution assembled from the
@@ -81,6 +83,7 @@ pub mod faults;
 pub mod inject;
 pub mod metrics;
 pub mod runner;
+#[allow(unsafe_code)]
 pub(crate) mod shard;
 pub mod srs;
 pub mod stream;

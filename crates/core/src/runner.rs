@@ -332,6 +332,87 @@ mod tests {
         assert!(out.recording.is_none(), "recording is off by default");
     }
 
+    /// Every f64 of a [`RunResult`] as raw bits, plus its counters.
+    fn result_bits(r: &RunResult) -> [u64; 16] {
+        [
+            r.load.to_bits(),
+            r.throughput.to_bits(),
+            r.throughput_norm.to_bits(),
+            r.latency.to_bits(),
+            r.latency_p95.to_bits(),
+            r.power_mw.to_bits(),
+            r.src_path.to_bits(),
+            r.tx_wait.to_bits(),
+            r.undrained,
+            r.grants,
+            r.retunes,
+            r.ls_retries,
+            r.ls_aborts,
+            r.injected,
+            r.delivered,
+            r.cycles,
+        ]
+    }
+
+    /// `step_profiled` (what perfreport, scaling and perfbench's traced
+    /// runs loop) only adds clock reads: in every mode, with faults,
+    /// tracing and the tune controller on, it ends in the same result bits
+    /// and the same trace as `step`.
+    #[test]
+    fn profiled_step_is_a_plain_step() {
+        use crate::faults::{FaultKind, FaultPlan};
+        use crate::system::PhaseTimers;
+        use erapid_tune::ControllerSpec;
+
+        let plan = PhasePlan::new(2000, 4000).with_max_cycles(40_000);
+        let load = 0.6;
+        for mode in NetworkMode::all() {
+            let mut cfg = SystemConfig::small(mode);
+            cfg.trace = erapid_telemetry::TraceConfig::on();
+            cfg.tune = Some(match mode {
+                NetworkMode::PNb => ControllerSpec::paper_pnb(),
+                _ => ControllerSpec::paper_pb(),
+            });
+            cfg.faults = FaultPlan::relock_storm(cfg.seed, cfg.boards, 1000, 9000, 6, 200)
+                .receiver_outage(0, 1, 3000, 7000)
+                .transmitter_outage(2, 3, 2500, 6500)
+                .at(4006, FaultKind::TokenLoss { victim: 1 });
+            let capacity = cfg.capacity().uniform_capacity();
+            let run = |profiled: bool| {
+                let mut sys = System::new(cfg.clone(), TrafficPattern::Complement, load, plan);
+                let mut timers = PhaseTimers::default();
+                while sys.now() < plan.max_cycles
+                    && !sys.metrics().tracker.complete(&plan, sys.now())
+                {
+                    if profiled {
+                        sys.step_profiled(&mut timers);
+                    } else {
+                        sys.step();
+                    }
+                }
+                let cycles = sys.now();
+                let (result, trace) = collect(sys, load, capacity, cycles);
+                (result, trace, timers)
+            };
+            let (plain, plain_trace, _) = run(false);
+            let (profiled, profiled_trace, timers) = run(true);
+            let name = mode.name();
+            assert!(plain.delivered > 0, "{name}: traffic must flow");
+            assert!(!plain_trace.records.is_empty(), "{name}: trace is on");
+            assert_eq!(result_bits(&plain), result_bits(&profiled), "{name}");
+            assert_eq!(plain_trace.records, profiled_trace.records, "{name}");
+            assert_eq!(plain_trace.windows, profiled_trace.windows, "{name}");
+            if mode == NetworkMode::PB {
+                assert!(
+                    plain.grants > 0 && plain.retunes > 0,
+                    "P-B must reconfigure"
+                );
+                assert!(timers.route > Duration::ZERO, "route row is empty");
+                assert!(timers.optical > Duration::ZERO, "optical row is empty");
+            }
+        }
+    }
+
     #[test]
     fn batch_throughput_is_monotone_in_load() {
         let points = [0.2, 0.4]

@@ -1,22 +1,29 @@
-//! Board-sharded compute phase for the cycle engine.
+//! The cycle's hot half — router steps and optical transmit — as one set
+//! of compute/commit functions with two schedulers.
 //!
 //! Within one cycle, boards never touch each other directly: all
 //! cross-board traffic flows through the SRS arrival/wake heaps, the
 //! shared run metrics and the power cache — none of which the per-board
 //! hot path (the bitset-wavefront router step, DESIGN.md §16, plus lane
-//! transmit) needs to *read*. That makes the cycle's dominant cost
-//! embarrassingly parallel under a two-phase split:
+//! transmit) needs to *read*. So the hot half splits into:
 //!
-//! * **compute** — each worker claims whole boards and, per board `b`,
-//!   runs `Board::step_into` plus the transmit scan over SRS lane `b`
-//!   (see [`crate::srs::SrsLane`]), writing every would-be shared effect
-//!   (deliveries, wake/arrival inserts, labelled TX stats, the
-//!   power-dirty bit) into that board's [`BoardOut`];
+//! * **compute** — [`route_board`] steps board `b`'s router and NIs, and
+//!   [`transmit_lane`] scans its ready TX queues onto SRS lane `b` (see
+//!   [`crate::srs::SrsLane`]); both write every would-be shared effect
+//!   (deliveries, wake/arrival inserts, the power-dirty bit) into that
+//!   board's [`BoardOut`];
 //! * **commit** — the main thread applies the out-buffers in ascending
-//!   board order, replaying the exact side-effect sequence of the
-//!   sequential engine (see `System::commit_sharded`), so every f64
-//!   accumulation order, heap insertion sequence and telemetry emission
-//!   is byte-identical to the golden pins.
+//!   board order (`System::commit_deliveries`, then
+//!   `System::commit_lanes`), so every f64 accumulation order, heap
+//!   insertion sequence and telemetry emission is fixed whichever
+//!   scheduler ran the compute.
+//!
+//! The one-worker scheduler is `System::step_inner` itself: all
+//! `route_board` calls, then all `transmit_lane` calls over safe
+//! [`crate::srs::Srs::lane`] views. The N-worker scheduler is the [`Gate`]
+//! below: workers claim whole boards and run both functions fused per
+//! board, over lanes sliced from raw parts — the only `unsafe` in the
+//! crate.
 //!
 //! Synchronization is a self-built epoch gate (no external crates): the
 //! main thread publishes a fresh [`ShardCtx`] per cycle and bumps the
@@ -43,32 +50,20 @@ use std::sync::Mutex;
 
 const CURSOR_MASK: u64 = u32::MAX as u64;
 
-/// One board's buffered cross-board effects for one cycle: everything the
-/// sequential engine would have written into shared state during
-/// `step_boards` + `transmit`, in board-local order. Applied (and the
-/// buffers reused) every cycle; steady-state allocation-free.
+/// One board's buffered cross-board effects for one cycle, in board-local
+/// order. The compute functions append; the commits apply and clear, so
+/// the buffers are reused every cycle (steady-state allocation-free).
 #[derive(Debug, Default)]
 pub(crate) struct BoardOut {
     /// Packets delivered to this board's nodes this cycle.
     pub(crate) delivered: Vec<Delivered>,
-    /// SRS publish-remote effects of this board's lane transmit.
+    /// SRS publish-remote effects of this board's lane transmit; its
+    /// arrivals, in departure order, also carry the departed packets'
+    /// labelled TX stats.
     pub(crate) fx: LaneEffects,
-    /// `(src_path, tx_wait)` samples for labelled departures, in
-    /// departure order.
-    pub(crate) tx_labelled: Vec<(f64, f64)>,
     /// Snapshot of the board's ready destinations (the active set mutates
-    /// as packets depart, so the scan iterates a copy — same reason as
-    /// `System::transmit`'s `ready_scratch`).
+    /// as packets depart, so the scan iterates a copy).
     ready: Vec<u16>,
-}
-
-impl BoardOut {
-    fn clear(&mut self) {
-        self.delivered.clear();
-        self.fx.clear();
-        self.tx_labelled.clear();
-        self.ready.clear();
-    }
 }
 
 /// Everything one cycle's compute phase needs, as raw views into the
@@ -89,9 +84,40 @@ pub(crate) struct ShardCtx {
 // bracketed by the gate's acquire/release edges.
 unsafe impl Send for ShardCtx {}
 
-/// Runs the compute phase for board `b`: router/NI step into the
-/// out-buffer, then the lane transmit scan, mirroring the sequential
-/// `step_boards` + `transmit` for this board exactly.
+/// Steps `board`'s injectors and router one cycle, collecting this
+/// cycle's deliveries into `out`.
+pub(crate) fn route_board(board: &mut Board, out: &mut BoardOut, now: Cycle) {
+    board.step_into(now, &mut out.delivered);
+}
+
+/// Moves `board`'s ready TX-queue packets onto free owned channels of its
+/// SRS `lane`. Only destinations with a completed packet are visited (the
+/// board's ready-destination set, in ascending order); each queue drains
+/// until its head finds no free channel. Shared effects land in `out`.
+pub(crate) fn transmit_lane(
+    board: &mut Board,
+    mut lane: SrsLane<'_>,
+    out: &mut BoardOut,
+    now: Cycle,
+) {
+    out.ready.clear();
+    out.ready.extend_from_slice(board.ready_dests());
+    for &d in &out.ready {
+        while let Some(pkt) = board.tx_queue(d).peek().copied() {
+            if !lane.try_transmit(now, d, pkt, &mut out.fx) {
+                break;
+            }
+            let Some(departed) = board.tx_depart(now, d) else {
+                break; // unreachable: the queue head was just peeked
+            };
+            debug_assert_eq!(departed.id, pkt.id);
+        }
+    }
+}
+
+/// A board worker's compute for board `b`: [`route_board`] then
+/// [`transmit_lane`], fused per board. Legal because board `b`'s transmit
+/// reads only its own TX queues and lane (DESIGN.md §12).
 ///
 /// # Safety
 /// `b < ctx.nboards`, the claim protocol guarantees no other thread holds
@@ -101,36 +127,16 @@ unsafe fn compute_board(ctx: &ShardCtx, b: usize) {
     // SAFETY: exclusive by the claim protocol (see above).
     let board = unsafe { &mut *ctx.boards.add(b) };
     let out = unsafe { &mut *ctx.outs.add(b) };
-    out.clear();
-    board.step_into(ctx.now, &mut out.delivered);
     // SAFETY: lane `b` is exclusive to this claim; `ctx.srs` was captured
     // this cycle with no intervening `&mut Srs` use.
-    let mut lane = unsafe { SrsLane::from_parts(&ctx.srs, b as u16) };
-    out.ready.extend_from_slice(board.ready_dests());
-    for di in 0..out.ready.len() {
-        let d = out.ready[di];
-        while let Some(pkt) = board.tx_queue(d).peek().copied() {
-            if lane.try_transmit(ctx.now, d, pkt, &mut out.fx) {
-                let Some(departed) = board.tx_depart(ctx.now, d) else {
-                    break; // unreachable: the queue head was just peeked
-                };
-                debug_assert_eq!(departed.id, pkt.id);
-                if pkt.labelled {
-                    out.tx_labelled.push((
-                        (pkt.completed_at - pkt.injected_at) as f64,
-                        (ctx.now - pkt.completed_at) as f64,
-                    ));
-                }
-            } else {
-                break;
-            }
-        }
-    }
+    let lane = unsafe { SrsLane::from_parts(&ctx.srs, b as u16) };
+    route_board(board, out, ctx.now);
+    transmit_lane(board, lane, out, ctx.now);
 }
 
 /// The per-run barrier pair: epoch-tagged work tickets plus the published
 /// per-cycle context. Lives on the main thread's stack for the duration
-/// of one sharded `System::run_with` call; workers hold only `&Gate`.
+/// of one `System::run_with` call; workers hold only `&Gate`.
 pub(crate) struct Gate {
     /// `(epoch << 32) | cursor`. The main thread *stores* a new epoch with
     /// cursor 0 to open a compute phase; claimants `fetch_add` the cursor.

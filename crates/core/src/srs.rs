@@ -10,7 +10,7 @@
 use crate::txqueue::ReadyPacket;
 use desim::queue::BinaryHeapQueue;
 use desim::Cycle;
-use erapid_telemetry::{NullSink, TraceEvent, TraceSink};
+use erapid_telemetry::{TraceEvent, TraceSink};
 use photonics::bitrate::{RateLadder, RateLevel};
 use photonics::channel::{ChannelState, OpticalChannel};
 use photonics::power::LinkPowerModel;
@@ -76,7 +76,7 @@ pub struct Srs {
     /// `owner[d][w]` — board allowed to light `w` toward `d`.
     owner: Vec<Vec<Option<u16>>>,
     /// Sorted wavelengths owned per `(s·B + d)` flow — the mirror of
-    /// `owner` that lets `try_transmit` scan only lit wavelengths.
+    /// `owner` that lets `SrsLane::try_transmit` scan only lit wavelengths.
     /// Maintained exclusively through [`Srs::set_owner`]; ascending order
     /// reproduces the legacy full `0..W` scan exactly.
     owned: Vec<Vec<u16>>,
@@ -232,21 +232,6 @@ impl Srs {
         s as usize * self.boards as usize + d as usize
     }
 
-    /// Closes the open busy span on channel `i` at `at` (clamped to the
-    /// serialization end), folding its cycles into the running window.
-    /// A span closed at its own start cycle contributes nothing — exactly
-    /// the eager sampler, which never saw the channel busy.
-    fn close_busy(&mut self, i: usize, at: Cycle) {
-        if !self.busy_open[i] {
-            return;
-        }
-        let end = self.busy_cap[i].min(at);
-        if end > self.busy_start[i] {
-            self.win_busy[i] += end - self.busy_start[i];
-        }
-        self.busy_open[i] = false;
-    }
-
     /// The single mutation point for the ownership map: updates `owner`,
     /// the per-flow sorted `owned` mirror, closes the de-owned channel's
     /// busy span at `now` (the eager per-cycle sampler stopped counting a
@@ -262,8 +247,9 @@ impl Srs {
             if let Ok(p) = self.owned[f].binary_search(&w) {
                 self.owned[f].remove(p);
             }
-            let i = self.idx(s, d, w);
-            self.close_busy(i, now);
+            let mut lane = self.lane(s);
+            let li = lane.li(d, w);
+            lane.close_busy(li, now);
         }
         if let Some(s) = new {
             let f = self.flow(s, d);
@@ -326,14 +312,9 @@ impl Srs {
     ///
     /// Any packet already serializing or on the fiber still arrives (the
     /// photons left before the failure); packets that would *start* after
-    /// `now` cannot.
-    pub fn fail_receiver(&mut self, now: Cycle, d: u16, w: u16) {
-        self.fail_receiver_traced(now, d, w, &mut NullSink);
-    }
-
-    /// As [`Srs::fail_receiver`], emitting a [`TraceEvent::Revoke`] for the
+    /// `now` cannot. Emits a [`TraceEvent::Revoke`] into `sink` for the
     /// withdrawn wavelength when one was in service.
-    pub fn fail_receiver_traced(&mut self, now: Cycle, d: u16, w: u16, sink: &mut dyn TraceSink) {
+    pub fn fail_receiver(&mut self, now: Cycle, d: u16, w: u16, sink: &mut dyn TraceSink) {
         if self.is_failed(d, w) {
             return;
         }
@@ -421,20 +402,10 @@ impl Srs {
 
     /// Fault injection: board `s`'s transmitters toward `d` die. Owned
     /// lasers darken once idle; in-flight packets still land. Ownership is
-    /// retained so [`Srs::repair_transmitter`] restores service.
-    pub fn fail_transmitter(&mut self, now: Cycle, s: u16, d: u16) {
-        self.fail_transmitter_traced(now, s, d, &mut NullSink);
-    }
-
-    /// As [`Srs::fail_transmitter`], emitting a [`TraceEvent::Revoke`] per
-    /// owned wavelength taken out of service.
-    pub fn fail_transmitter_traced(
-        &mut self,
-        now: Cycle,
-        s: u16,
-        d: u16,
-        sink: &mut dyn TraceSink,
-    ) {
+    /// retained so [`Srs::repair_transmitter`] restores service. Emits a
+    /// [`TraceEvent::Revoke`] into `sink` per owned wavelength taken out of
+    /// service.
+    pub fn fail_transmitter(&mut self, now: Cycle, s: u16, d: u16, sink: &mut dyn TraceSink) {
         if self.is_tx_failed(s, d) {
             return;
         }
@@ -534,55 +505,30 @@ impl Srs {
         self.relocks_applied
     }
 
-    /// Tries to transmit `packet` from board `s` to board `d` on any free
-    /// owned channel. On success returns the wavelength used; the arrival
-    /// is scheduled internally.
-    pub fn try_transmit(&mut self, now: Cycle, s: u16, d: u16, packet: ReadyPacket) -> Option<u16> {
-        if self.is_tx_failed(s, d) {
-            return None;
+    /// Source board `s`'s lane: the `B·W` channel block it alone
+    /// serializes onto, as disjoint `&mut` slices of the dense
+    /// `(s·B + d)·W + w` arrays, plus read-only views of the ownership
+    /// mirror, failed transmitters and pending retunes. The one transmit
+    /// path ([`SrsLane::try_transmit`]) and the one busy-span close
+    /// ([`SrsLane::close_busy`]) run over it.
+    pub(crate) fn lane(&mut self, s: u16) -> SrsLane<'_> {
+        let b = self.boards as usize;
+        let bw = b * self.wavelengths as usize;
+        let base = s as usize * bw;
+        let block = base..base + bw;
+        SrsLane {
+            s,
+            wavelengths: self.wavelengths,
+            base,
+            channels: &mut self.channels[block.clone()],
+            win_busy: &mut self.win_busy[block.clone()],
+            busy_open: &mut self.busy_open[block.clone()],
+            busy_start: &mut self.busy_start[block.clone()],
+            busy_cap: &mut self.busy_cap[block.clone()],
+            pending_retune: &self.pending_retune[block],
+            owned: &self.owned[s as usize * b..(s as usize + 1) * b],
+            failed_tx: &self.failed_tx,
         }
-        // Scan only owned wavelengths; ascending order matches the legacy
-        // full `0..W` scan over the ownership map.
-        let flow = self.flow(s, d);
-        let mut chosen = None;
-        for k in 0..self.owned[flow].len() {
-            let w = self.owned[flow][k];
-            let i = self.idx(s, d, w);
-            // A channel with a pending retune must not start a packet:
-            // the retune would never get a free window under load.
-            if self.channels[i].can_send(now) && self.pending_retune[i].is_none() {
-                chosen = Some(w);
-                break;
-            }
-        }
-        let w = chosen?;
-        let i = self.idx(s, d, w);
-        // Back-to-back reuse exactly at the previous packet's end: its
-        // wake entry has not fired yet, so close its span here first.
-        if self.busy_open[i] {
-            debug_assert!(self.busy_cap[i] <= now, "span open past serialization");
-            let cap = self.busy_cap[i];
-            self.close_busy(i, cap);
-        }
-        let arrive_at = self.channels[i].begin_packet(now, packet.flits as u32);
-        let Some(until) = self.channels[i].sending_until() else {
-            unreachable!("begin_packet leaves the channel Sending")
-        };
-        self.wake.insert(until, i);
-        self.busy_open[i] = true;
-        self.busy_start[i] = now;
-        self.busy_cap[i] = until;
-        self.power_dirty = true;
-        self.arrivals.insert(
-            arrive_at,
-            Arrival {
-                dst_board: d,
-                wavelength: w,
-                src_board: s,
-                packet,
-            },
-        );
-        Some(w)
     }
 
     /// Captures the raw base pointers the sharded engine slices per-lane
@@ -595,10 +541,10 @@ impl Srs {
     /// sequential phases), so pointers captured at the top of a cycle stay
     /// valid through it.
     ///
-    /// Safety contract (upheld by `system::step_sharded`): between
-    /// capturing parts and the commit barrier, nothing touches the SRS
-    /// through `&mut self`, and each lane index is materialized by at most
-    /// one worker.
+    /// Safety contract (upheld by `System::step_inner`'s gate branch):
+    /// between capturing parts and the commit barrier, nothing touches the
+    /// SRS through `&mut self`, and each lane index is materialized by at
+    /// most one worker. The safe twin is [`Srs::lane`].
     pub(crate) fn shard_parts(&mut self) -> SrsShardParts {
         SrsShardParts {
             channels: self.channels.as_mut_ptr(),
@@ -615,11 +561,11 @@ impl Srs {
         }
     }
 
-    /// Applies one board's buffered publish-remote effects in arrival
-    /// order: wake-queue entries and fiber arrivals re-insert in exactly
-    /// the sequence the sequential `transmit` would have produced (each
-    /// [`BinaryHeapQueue`] breaks time ties by insertion sequence, so an
-    /// identical insertion order is an identical pop order), and the power
+    /// Applies one board's buffered publish-remote effects in departure
+    /// order: wake-queue entries and fiber arrivals insert in the sequence
+    /// the lane produced them (each [`BinaryHeapQueue`] breaks time ties by
+    /// insertion sequence, so committing lanes in ascending board order
+    /// fixes the pop order whatever scheduler ran them), and the power
     /// cache is invalidated iff the lane lit a laser.
     pub(crate) fn commit_lane_effects(&mut self, fx: &LaneEffects) {
         for &(until, i) in &fx.wakes {
@@ -673,15 +619,10 @@ impl Srs {
     }
 
     /// Schedules DBR ownership transfers (already delayed by the protocol
-    /// latency — the caller passes decisions at their apply time).
-    pub fn schedule_grants(&mut self, grants: &[WavelengthGrant]) {
-        self.schedule_grants_traced(0, grants, &mut NullSink);
-    }
-
-    /// As [`Srs::schedule_grants`], emitting a [`TraceEvent::Grant`] per
-    /// accepted ownership flip, stamped `now` (grants dropped by the
-    /// failure race produce no event).
-    pub fn schedule_grants_traced(
+    /// latency — the caller passes decisions at their apply time), emitting
+    /// a [`TraceEvent::Grant`] into `sink` per accepted ownership flip,
+    /// stamped `now` (grants dropped by the failure race produce no event).
+    pub fn schedule_grants(
         &mut self,
         now: Cycle,
         grants: &[WavelengthGrant],
@@ -724,16 +665,12 @@ impl Srs {
     }
 
     /// Per-cycle housekeeping: settle channels, complete retunes and
-    /// ownership transfers.
-    pub fn tick(&mut self, now: Cycle) {
-        self.tick_traced(now, &mut NullSink);
-    }
-
-    /// As [`Srs::tick`], emitting [`TraceEvent::RelockStart`]/
-    /// [`TraceEvent::RelockEnd`] when a CDR relock engages (the end event
-    /// is stamped `now + penalty` — the blackout span is deterministic) and
-    /// [`TraceEvent::DpmApplied`] when a pending retune takes effect.
-    pub fn tick_traced(&mut self, now: Cycle, sink: &mut dyn TraceSink) {
+    /// ownership transfers. Emits [`TraceEvent::RelockStart`]/
+    /// [`TraceEvent::RelockEnd`] into `sink` when a CDR relock engages (the
+    /// end event is stamped `now + penalty` — the blackout span is
+    /// deterministic) and [`TraceEvent::DpmApplied`] when a pending retune
+    /// takes effect.
+    pub fn tick(&mut self, now: Cycle, sink: &mut dyn TraceSink) {
         // Settle channels whose serialization has ended (event-driven
         // replacement for the legacy settle-every-channel scan). Channels
         // left in a stale `Transitioning{until ≤ now}` state are
@@ -745,10 +682,12 @@ impl Srs {
             let Some((_, i)) = self.wake.pop() else {
                 break;
             };
-            self.channels[i].settle(now);
-            if self.busy_open[i] && self.busy_cap[i] <= now {
-                let cap = self.busy_cap[i];
-                self.close_busy(i, cap);
+            let bw = self.boards as usize * self.wavelengths as usize;
+            let (mut lane, li) = (self.lane((i / bw) as u16), i % bw);
+            lane.channels[li].settle(now);
+            let cap = lane.busy_cap[li];
+            if cap <= now {
+                lane.close_busy(li, cap);
             }
             self.power_dirty = true;
         }
@@ -1166,9 +1105,9 @@ impl SrsShardParts {
 }
 
 /// The publish-remote half of a lane's transmit work: everything
-/// [`Srs::try_transmit`] would have pushed into *shared* SRS state, buffered
-/// per source board during the compute phase and applied in canonical board
-/// order by [`Srs::commit_lane_effects`]. The mutate-local half (channel
+/// [`SrsLane::try_transmit`] pushes toward *shared* SRS state, buffered per
+/// source board and applied in canonical board order by
+/// [`Srs::commit_lane_effects`]. The mutate-local half (channel
 /// `begin_packet`, busy spans, window integrals) needs no buffering — it
 /// lives entirely inside the lane's array block.
 #[derive(Debug, Default)]
@@ -1192,8 +1131,9 @@ impl LaneEffects {
 /// One source board's mutable window into the SRS: the `B·W` contiguous
 /// block of channel/busy-span state that board `s` alone serializes onto,
 /// plus shared read-only views (ownership mirror, failed transmitters,
-/// pending retunes). [`SrsLane::try_transmit`] is [`Srs::try_transmit`]
-/// with the shared-queue pushes routed into a [`LaneEffects`] buffer.
+/// pending retunes). Built safely by [`Srs::lane`], or by a board worker
+/// from captured parts ([`SrsLane::from_parts`]); either way the transmit
+/// routes its shared-queue pushes into a [`LaneEffects`] buffer.
 pub(crate) struct SrsLane<'a> {
     s: u16,
     wavelengths: u16,
@@ -1219,6 +1159,7 @@ impl<'a> SrsLane<'a> {
     /// been touched through `&mut Srs` since capture, and no other lane
     /// view for the same `s` may exist for `'a`. Disjointness across
     /// different `s` is guaranteed by the dense layout.
+    #[allow(unsafe_code)]
     pub(crate) unsafe fn from_parts(parts: &SrsShardParts, s: u16) -> Self {
         let b = parts.boards as usize;
         let bw = b * parts.wavelengths as usize;
@@ -1248,7 +1189,10 @@ impl<'a> SrsLane<'a> {
         d as usize * self.wavelengths as usize + w as usize
     }
 
-    /// Lane-local mirror of [`Srs::close_busy`].
+    /// Closes the open busy span on lane channel `li` at `at` (clamped to
+    /// the serialization end), folding its cycles into the running window.
+    /// A span closed at its own start cycle contributes nothing — exactly
+    /// the eager sampler, which never saw the channel busy.
     fn close_busy(&mut self, li: usize, at: Cycle) {
         if !self.busy_open[li] {
             return;
@@ -1260,10 +1204,11 @@ impl<'a> SrsLane<'a> {
         self.busy_open[li] = false;
     }
 
-    /// [`Srs::try_transmit`] over the lane view: identical scan order,
-    /// identical channel mutations, with the wake/arrival inserts and the
-    /// power-cache invalidation deferred into `fx`. Returns whether the
-    /// packet departed.
+    /// Tries to start `packet` toward board `d` on the first free owned
+    /// channel, in ascending wavelength order. The channel mutations happen
+    /// in the lane; the wake/arrival inserts and the power-cache
+    /// invalidation are deferred into `fx`. Returns whether the packet
+    /// departed.
     pub(crate) fn try_transmit(
         &mut self,
         now: Cycle,
@@ -1321,9 +1266,21 @@ impl<'a> SrsLane<'a> {
     }
 }
 
+/// Lane `src`'s transmit with its effects committed at once; the wavelength used.
+#[cfg(test)]
+impl Srs {
+    fn send(&mut self, now: Cycle, src: u16, d: u16, packet: ReadyPacket) -> Option<u16> {
+        let mut fx = LaneEffects::default();
+        let sent = self.lane(src).try_transmit(now, d, packet, &mut fx);
+        self.commit_lane_effects(&fx);
+        sent.then(|| fx.arrivals[0].1.wavelength)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use erapid_telemetry::NullSink;
     use router::flit::PacketId;
 
     fn srs() -> Srs {
@@ -1369,7 +1326,7 @@ mod tests {
     #[test]
     fn transmit_and_arrival_roundtrip() {
         let mut s = srs();
-        let w = s.try_transmit(0, 1, 0, pkt(7)).expect("channel free");
+        let w = s.send(0, 1, 0, pkt(7)).expect("channel free");
         assert_eq!(w, 1);
         // 8 flits × 6 cycles + 4 fiber = arrival at 52.
         assert!(s.arrivals_due(51).is_empty());
@@ -1383,10 +1340,10 @@ mod tests {
     #[test]
     fn busy_channel_rejects_second_packet() {
         let mut s = srs();
-        assert!(s.try_transmit(0, 1, 0, pkt(1)).is_some());
-        assert!(s.try_transmit(1, 1, 0, pkt(2)).is_none());
-        s.tick(48); // serialization (48) done
-        assert!(s.try_transmit(48, 1, 0, pkt(2)).is_some());
+        assert!(s.send(0, 1, 0, pkt(1)).is_some());
+        assert!(s.send(1, 1, 0, pkt(2)).is_none());
+        s.tick(48, &mut NullSink); // serialization (48) done
+        assert!(s.send(48, 1, 0, pkt(2)).is_some());
     }
 
     #[test]
@@ -1398,20 +1355,20 @@ mod tests {
             from: BoardId(2),
             to: BoardId(1),
         };
-        s.schedule_grants(&[g]);
+        s.schedule_grants(0, &[g], &mut NullSink);
         assert_eq!(s.owner(0, 2), Some(1));
-        s.tick(10);
+        s.tick(10, &mut NullSink);
         // Donor dark, recipient locking (dark for 65 cycles).
         assert!(!s.channel(2, 0, 2).is_on());
         assert!(s.channel(1, 0, 2).is_on());
         // Before lock-in the granted channel cannot carry data on λ2, but
         // board 1 can still use its static λ1 toward 0 — and only that one.
-        assert_eq!(s.try_transmit(11, 1, 0, pkt(9)), Some(1));
-        assert_eq!(s.try_transmit(11, 1, 0, pkt(10)), None);
-        s.tick(80);
+        assert_eq!(s.send(11, 1, 0, pkt(9)), Some(1));
+        assert_eq!(s.send(11, 1, 0, pkt(10)), None);
+        s.tick(80, &mut NullSink);
         // Now both of board 1's channels are usable.
-        assert!(s.try_transmit(80, 1, 0, pkt(1)).is_some());
-        assert!(s.try_transmit(80, 1, 0, pkt(2)).is_some());
+        assert!(s.send(80, 1, 0, pkt(1)).is_some());
+        assert!(s.send(80, 1, 0, pkt(2)).is_some());
         assert_eq!(s.owned_wavelengths(1, 0), vec![1, 2]);
         assert_eq!(s.reconfig_counts().0, 1);
     }
@@ -1420,20 +1377,20 @@ mod tests {
     fn grant_waits_for_donor_mid_packet() {
         let mut s = srs();
         // Donor (board 2 → 0 on λ2) starts a long packet at t=0.
-        assert!(s.try_transmit(0, 2, 0, pkt(1)).is_some());
+        assert!(s.send(0, 2, 0, pkt(1)).is_some());
         let g = WavelengthGrant {
             destination: BoardId(0),
             wavelength: Wavelength(2),
             from: BoardId(2),
             to: BoardId(1),
         };
-        s.schedule_grants(&[g]);
-        s.tick(10);
+        s.schedule_grants(0, &[g], &mut NullSink);
+        s.tick(10, &mut NullSink);
         // Donor still sending: recipient must not be lit yet.
         assert!(s.channel(2, 0, 2).is_on());
         assert!(!s.channel(1, 0, 2).is_on());
         // After serialization ends (48 cycles) the transfer completes.
-        s.tick(48);
+        s.tick(48, &mut NullSink);
         assert!(!s.channel(2, 0, 2).is_on());
         assert!(s.channel(1, 0, 2).is_on());
         // The in-flight packet still arrives.
@@ -1445,22 +1402,22 @@ mod tests {
         let mut s = srs();
         s.schedule_retune(1, 0, 1, RateLevel(0), 65);
         // Channel is idle: retune applies on the next tick.
-        s.tick(5);
+        s.tick(5, &mut NullSink);
         assert_eq!(s.channel(1, 0, 1).level(), RateLevel(0));
         assert_eq!(s.reconfig_counts().1, 1);
         // Dark during transition.
-        assert!(s.try_transmit(6, 1, 0, pkt(1)).is_none());
-        s.tick(70);
-        assert!(s.try_transmit(70, 1, 0, pkt(1)).is_some());
+        assert!(s.send(6, 1, 0, pkt(1)).is_none());
+        s.tick(70, &mut NullSink);
+        assert!(s.send(70, 1, 0, pkt(1)).is_some());
     }
 
     #[test]
     fn retune_to_same_level_is_ignored() {
         let mut s = srs();
         s.schedule_retune(1, 0, 1, RateLevel(2), 65);
-        s.tick(1);
+        s.tick(1, &mut NullSink);
         assert_eq!(s.reconfig_counts().1, 0);
-        assert!(s.try_transmit(1, 1, 0, pkt(1)).is_some());
+        assert!(s.send(1, 1, 0, pkt(1)).is_some());
     }
 
     #[test]
@@ -1469,7 +1426,7 @@ mod tests {
         let idle_total = s.record_cycle();
         // 12 idle lasers at 43.03 × 0.05.
         assert!((idle_total - 12.0 * 43.03 * 0.05).abs() < 1e-6);
-        s.try_transmit(0, 1, 0, pkt(1)).unwrap();
+        s.send(0, 1, 0, pkt(1)).unwrap();
         let one_active = s.record_cycle();
         assert!((one_active - (11.0 * 43.03 * 0.05 + 43.03)).abs() < 1e-6);
     }
@@ -1477,9 +1434,9 @@ mod tests {
     #[test]
     fn link_util_windows_roll() {
         let mut s = srs();
-        s.try_transmit(0, 1, 0, pkt(1)).unwrap();
+        s.send(0, 1, 0, pkt(1)).unwrap();
         for now in 0..100u64 {
-            s.tick(now);
+            s.tick(now, &mut NullSink);
             s.record_cycle();
         }
         s.roll_windows(100);
@@ -1491,24 +1448,26 @@ mod tests {
     #[test]
     fn transmit_spreads_over_multiple_owned_channels() {
         let mut s = srs();
-        s.schedule_grants(&[WavelengthGrant {
+        let g = WavelengthGrant {
             destination: BoardId(0),
             wavelength: Wavelength(2),
             from: BoardId(2),
             to: BoardId(1),
-        }]);
-        s.tick(0);
-        s.tick(66); // lock-in done
-        let w1 = s.try_transmit(66, 1, 0, pkt(1)).unwrap();
-        let w2 = s.try_transmit(66, 1, 0, pkt(2)).unwrap();
+        };
+        s.schedule_grants(0, &[g], &mut NullSink);
+        s.tick(0, &mut NullSink);
+        s.tick(66, &mut NullSink); // lock-in done
+        let w1 = s.send(66, 1, 0, pkt(1)).unwrap();
+        let w2 = s.send(66, 1, 0, pkt(2)).unwrap();
         assert_ne!(w1, w2, "two packets in flight on two wavelengths");
-        assert!(s.try_transmit(66, 1, 0, pkt(3)).is_none());
+        assert!(s.send(66, 1, 0, pkt(3)).is_none());
     }
 }
 
 #[cfg(test)]
 mod fault_tests {
     use super::*;
+    use erapid_telemetry::NullSink;
     use photonics::bitrate::RateLadder;
     use photonics::serdes::Serdes;
     use router::flit::PacketId;
@@ -1542,28 +1501,28 @@ mod fault_tests {
     fn failing_an_idle_receiver_darkens_the_owner() {
         let mut s = srs();
         assert_eq!(s.owner(0, 1), Some(1));
-        s.fail_receiver(0, 0, 1);
+        s.fail_receiver(0, 0, 1, &mut NullSink);
         assert!(s.is_failed(0, 1));
         assert_eq!(s.owner(0, 1), None);
         assert!(!s.channel(1, 0, 1).is_on());
         // The flow 1→0 can no longer transmit (no owned wavelength).
-        assert!(s.try_transmit(1, 1, 0, pkt(1)).is_none());
+        assert!(s.send(1, 1, 0, pkt(1)).is_none());
         assert_eq!(s.lasers_on(), 11);
     }
 
     #[test]
     fn failing_mid_packet_lets_the_photons_land_then_darkens() {
         let mut s = srs();
-        assert!(s.try_transmit(0, 1, 0, pkt(7)).is_some());
-        s.fail_receiver(5, 0, 1);
+        assert!(s.send(0, 1, 0, pkt(7)).is_some());
+        s.fail_receiver(5, 0, 1, &mut NullSink);
         // Still lit mid-packet.
         assert!(s.channel(1, 0, 1).is_on());
-        s.tick(20);
+        s.tick(20, &mut NullSink);
         assert!(s.channel(1, 0, 1).is_on(), "packet still serializing");
         // The in-flight packet arrives (left before the failure)...
         assert_eq!(s.arrivals_due(52).len(), 1);
         // ...and once the wavelength clears, the laser goes dark for good.
-        s.tick(48);
+        s.tick(48, &mut NullSink);
         assert!(!s.channel(1, 0, 1).is_on());
         assert_eq!(s.owner(0, 1), None);
     }
@@ -1571,16 +1530,16 @@ mod fault_tests {
     #[test]
     fn grants_on_failed_wavelengths_are_dropped() {
         let mut s = srs();
-        s.fail_receiver(0, 0, 2);
+        s.fail_receiver(0, 0, 2, &mut NullSink);
         let g = WavelengthGrant {
             destination: BoardId(0),
             wavelength: Wavelength(2),
             from: BoardId(2),
             to: BoardId(1),
         };
-        s.schedule_grants(&[g]);
-        s.tick(1);
-        s.tick(100);
+        s.schedule_grants(0, &[g], &mut NullSink);
+        s.tick(1, &mut NullSink);
+        s.tick(100, &mut NullSink);
         assert_eq!(s.owner(0, 2), None);
         assert!(!s.channel(1, 0, 2).is_on());
         assert_eq!(s.reconfig_counts().0, 0);
@@ -1590,19 +1549,20 @@ mod fault_tests {
     fn failure_during_ownership_transfer_suppresses_relight() {
         let mut s = srs();
         // Donor busy so the transfer stays pending.
-        assert!(s.try_transmit(0, 2, 0, pkt(1)).is_some());
-        s.schedule_grants(&[WavelengthGrant {
+        assert!(s.send(0, 2, 0, pkt(1)).is_some());
+        let g = WavelengthGrant {
             destination: BoardId(0),
             wavelength: Wavelength(2),
             from: BoardId(2),
             to: BoardId(1),
-        }]);
-        s.tick(5);
+        };
+        s.schedule_grants(0, &[g], &mut NullSink);
+        s.tick(5, &mut NullSink);
         assert!(s.channel(2, 0, 2).is_on(), "donor mid-packet");
         // The receiver dies while the transfer is in flight.
-        s.fail_receiver(6, 0, 2);
-        s.tick(48);
-        s.tick(120);
+        s.fail_receiver(6, 0, 2, &mut NullSink);
+        s.tick(48, &mut NullSink);
+        s.tick(120, &mut NullSink);
         // Donor dark, recipient never lit.
         assert!(!s.channel(2, 0, 2).is_on());
         assert!(!s.channel(1, 0, 2).is_on());
@@ -1612,8 +1572,8 @@ mod fault_tests {
     #[test]
     fn double_failure_is_idempotent() {
         let mut s = srs();
-        s.fail_receiver(0, 0, 1);
-        s.fail_receiver(1, 0, 1);
+        s.fail_receiver(0, 0, 1, &mut NullSink);
+        s.fail_receiver(1, 0, 1, &mut NullSink);
         assert!(s.is_failed(0, 1));
         assert_eq!(s.lasers_on(), 11);
     }
@@ -1621,7 +1581,7 @@ mod fault_tests {
     #[test]
     fn repair_restores_static_ownership_and_capacity() {
         let mut s = srs();
-        s.fail_receiver(0, 0, 1);
+        s.fail_receiver(0, 0, 1, &mut NullSink);
         assert_eq!(s.lasers_on(), 11);
         assert_eq!(s.owner(0, 1), None);
         s.repair_receiver(100, 0, 1);
@@ -1630,25 +1590,25 @@ mod fault_tests {
         assert!(s.channel(1, 0, 1).is_on());
         assert_eq!(s.lasers_on(), 12);
         // Fresh receiver lock-in: dark for 65 cycles, then usable.
-        assert!(s.try_transmit(120, 1, 0, pkt(1)).is_none());
-        s.tick(170);
-        assert!(s.try_transmit(170, 1, 0, pkt(1)).is_some());
+        assert!(s.send(120, 1, 0, pkt(1)).is_none());
+        s.tick(170, &mut NullSink);
+        assert!(s.send(170, 1, 0, pkt(1)).is_some());
     }
 
     #[test]
     fn repair_before_the_failure_drain_completes_relights() {
         let mut s = srs();
-        assert!(s.try_transmit(0, 1, 0, pkt(7)).is_some());
-        s.fail_receiver(5, 0, 1); // mid-packet: shutdown is pending
+        assert!(s.send(0, 1, 0, pkt(7)).is_some());
+        s.fail_receiver(5, 0, 1, &mut NullSink); // mid-packet: shutdown is pending
         s.repair_receiver(10, 0, 1); // repaired before the laser idles
         assert_eq!(s.owner(0, 1), Some(1));
         assert_eq!(s.arrivals_due(52).len(), 1, "in-flight photons land");
         // Once the wavelength clears, the laser cycles through a lock-in
         // window instead of dying.
-        s.tick(48);
+        s.tick(48, &mut NullSink);
         assert!(s.channel(1, 0, 1).is_on());
-        s.tick(120);
-        assert!(s.try_transmit(120, 1, 0, pkt(8)).is_some());
+        s.tick(120, &mut NullSink);
+        assert!(s.send(120, 1, 0, pkt(8)).is_some());
     }
 
     #[test]
@@ -1662,30 +1622,31 @@ mod fault_tests {
     #[test]
     fn transmitter_outage_darkens_and_repair_restores() {
         let mut s = srs();
-        s.fail_transmitter(0, 1, 0);
+        s.fail_transmitter(0, 1, 0, &mut NullSink);
         assert!(s.is_tx_failed(1, 0));
         assert!(!s.channel(1, 0, 1).is_on());
         assert_eq!(s.lasers_on(), 11);
-        assert!(s.try_transmit(1, 1, 0, pkt(1)).is_none());
+        assert!(s.send(1, 1, 0, pkt(1)).is_none());
         // Ownership is retained through the outage.
         assert_eq!(s.owner(0, 1), Some(1));
         s.repair_transmitter(50, 1, 0);
         assert!(!s.is_tx_failed(1, 0));
         assert!(s.channel(1, 0, 1).is_on());
-        s.tick(120);
-        assert!(s.try_transmit(120, 1, 0, pkt(2)).is_some());
+        s.tick(120, &mut NullSink);
+        assert!(s.send(120, 1, 0, pkt(2)).is_some());
     }
 
     #[test]
     fn grants_to_failed_transmitters_are_dropped() {
         let mut s = srs();
-        s.fail_transmitter(0, 1, 0);
-        s.schedule_grants(&[WavelengthGrant {
+        s.fail_transmitter(0, 1, 0, &mut NullSink);
+        let g = WavelengthGrant {
             destination: BoardId(0),
             wavelength: Wavelength(2),
             from: BoardId(2),
             to: BoardId(1),
-        }]);
+        };
+        s.schedule_grants(0, &[g], &mut NullSink);
         assert_eq!(s.owner(0, 2), Some(2), "grant to a dead TX is dropped");
         assert_eq!(s.reconfig_counts().0, 0);
     }
@@ -1696,12 +1657,12 @@ mod fault_tests {
         s.stick_lc(1, 0, 1);
         assert!(s.is_lc_stuck(1, 0, 1));
         s.schedule_retune(1, 0, 1, RateLevel(0), 65);
-        s.tick(5);
+        s.tick(5, &mut NullSink);
         assert_eq!(s.channel(1, 0, 1).level(), RateLevel(2));
         assert_eq!(s.reconfig_counts().1, 0);
         s.unstick_lc(1, 0, 1);
         s.schedule_retune(1, 0, 1, RateLevel(0), 65);
-        s.tick(6);
+        s.tick(6, &mut NullSink);
         assert_eq!(s.channel(1, 0, 1).level(), RateLevel(0));
         assert_eq!(s.reconfig_counts().1, 1);
     }
@@ -1709,24 +1670,24 @@ mod fault_tests {
     #[test]
     fn cdr_relock_waits_for_the_packet_then_darkens() {
         let mut s = srs();
-        assert!(s.try_transmit(0, 1, 0, pkt(1)).is_some());
+        assert!(s.send(0, 1, 0, pkt(1)).is_some());
         s.schedule_relock(1, 0, 1, 200);
-        s.tick(10);
+        s.tick(10, &mut NullSink);
         assert_eq!(s.relocks_applied(), 0, "mid-packet: relock waits");
         assert_eq!(s.arrivals_due(52).len(), 1, "photons land");
-        s.tick(48);
+        s.tick(48, &mut NullSink);
         assert_eq!(s.relocks_applied(), 1);
         assert!(s.channel(1, 0, 1).is_on(), "laser stays up while relocking");
-        assert!(s.try_transmit(100, 1, 0, pkt(2)).is_none(), "link dark");
-        s.tick(250);
-        assert!(s.try_transmit(250, 1, 0, pkt(2)).is_some());
+        assert!(s.send(100, 1, 0, pkt(2)).is_none(), "link dark");
+        s.tick(250, &mut NullSink);
+        assert!(s.send(250, 1, 0, pkt(2)).is_some());
     }
 
     #[test]
     fn cdr_relock_on_a_dark_channel_is_inert() {
         let mut s = srs();
         s.schedule_relock(2, 0, 1, 200); // unowned, dark channel
-        s.tick(5);
+        s.tick(5, &mut NullSink);
         assert_eq!(s.relocks_applied(), 0);
     }
 }

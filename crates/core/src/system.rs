@@ -17,12 +17,13 @@ use crate::board::Board;
 use crate::config::{ControlPlane, NetworkMode, SystemConfig};
 use crate::faults::FaultKind;
 use crate::metrics::{PacketDelivery, RunMetrics};
+use crate::shard::{route_board, transmit_lane, BoardOut, Gate, ShardCtx};
 use crate::srs::Srs;
 use desim::phase::{Phase, PhasePlan};
 use desim::Cycle;
 use erapid_telemetry::{
     CounterId, FaultLabel, GaugeId, HistId, HistogramSummary, LsStageLabel, MetricRegistry,
-    TraceEvent, TraceRecord, TraceSink, Tracer, WindowLabel, WindowSnapshot,
+    NullSink, TraceEvent, TraceRecord, TraceSink, Tracer, WindowLabel, WindowSnapshot,
 };
 use erapid_tune::{ThresholdController, WindowObservation};
 use erapid_workloads::ScenarioEngine;
@@ -66,9 +67,9 @@ pub struct System {
     pending_dbr: Vec<(Cycle, Vec<WavelengthGrant>)>,
     /// In-flight message-level DBR round (message-level control plane).
     active_round: Option<DbrRound>,
-    /// Reusable per-cycle delivery buffer — cleared per board per cycle,
-    /// never reallocated in steady state.
-    delivered_scratch: Vec<crate::board::Delivered>,
+    /// Per-board out-buffers of the cycle's compute half (deliveries and
+    /// lane effects), reused every cycle.
+    outs: Vec<BoardOut>,
     /// Next unapplied event in `cfg.faults` (the plan is time-sorted).
     fault_cursor: usize,
     /// Token faults waiting for the next DBR round (message-level plane).
@@ -97,10 +98,6 @@ pub struct System {
     /// previous value bit-for-bit and `ThresholdWatch::observe` of an
     /// equal value is a state-free no-op, so skipping it is identical.
     watch_pending: Vec<bool>,
-    /// Reusable snapshot of a board's ready destinations (the board's
-    /// active set mutates as packets depart, so `transmit` iterates a
-    /// copy).
-    ready_scratch: Vec<u16>,
     /// Online threshold auto-tuner (None unless `cfg.tune` is set in a
     /// power-aware mode). Stepped at Power-kind `R_w` boundaries inside
     /// the *sequential prologue*, so the board-sharded engine stays
@@ -116,9 +113,11 @@ pub struct PhaseTimers {
     pub reconfig: std::time::Duration,
     /// Traffic generation / trace replay.
     pub inject: std::time::Duration,
-    /// Electrical domain: IBI router stepping + delivery.
+    /// Electrical domain: IBI router stepping (`shard::route_board` per
+    /// board) + the delivery commit.
     pub route: std::time::Duration,
-    /// Optical domain: TX departures, arrivals, SRS housekeeping.
+    /// Optical domain: lane transmits (`shard::transmit_lane` per board) +
+    /// the lane commit, arrivals into receivers, SRS housekeeping.
     pub optical: std::time::Duration,
     /// Power sampling + metric recording.
     pub stats: std::time::Duration,
@@ -261,6 +260,7 @@ impl System {
         let injection_log = cfg.record_injections.then(TraceRecorder::new);
         let packet_log = cfg.packet_log.then(Vec::new);
         let watch_pending = vec![true; buffer_watch.len()];
+        let outs = (0..cfg.boards).map(|_| BoardOut::default()).collect();
         // A scenario source preempts the generators; the rate is the same
         // load × N_c normalisation the synthetic patterns use, so the
         // bench load axis carries over unchanged.
@@ -282,7 +282,7 @@ impl System {
             metrics,
             pending_dbr: Vec::new(),
             active_round: None,
-            delivered_scratch: Vec::new(),
+            outs,
             fault_cursor: 0,
             armed_token: Vec::new(),
             armed_analytic_delay: 0,
@@ -294,7 +294,6 @@ impl System {
             dbr_rounds: 0,
             watch_pending,
             buffer_watch,
-            ready_scratch: Vec::new(),
             controller,
         }
     }
@@ -336,13 +335,13 @@ impl System {
 
     /// Advances one cycle.
     pub fn step(&mut self) {
-        self.step_inner(true, &mut NullProbe);
+        self.step_inner(true, &mut NullProbe, None);
     }
 
     /// Advances one cycle with the traffic sources silenced — used to
     /// drain the network completely (conservation checks, clean shutdown).
     pub fn step_without_injection(&mut self) {
-        self.step_inner(false, &mut NullProbe);
+        self.step_inner(false, &mut NullProbe, None);
     }
 
     /// Advances one cycle, attributing wall time per engine phase into
@@ -352,10 +351,15 @@ impl System {
             timers,
             mark: std::time::Instant::now(),
         };
-        self.step_inner(true, &mut probe);
+        self.step_inner(true, &mut probe, None);
     }
 
-    fn step_inner<P: PhaseProbe>(&mut self, inject: bool, probe: &mut P) {
+    /// One cycle. The hot half is `shard`'s compute/commit functions under
+    /// one of two schedulers: with no `gate`, this thread runs every
+    /// `route_board`, then every `transmit_lane`; with a gate, board
+    /// workers run both fused per board. Either way the commits apply the
+    /// out-buffers in ascending board order, so the two are byte-identical.
+    fn step_inner<P: PhaseProbe>(&mut self, inject: bool, probe: &mut P, gate: Option<&Gate>) {
         let now = self.now;
         probe.start();
         self.apply_due_faults(now);
@@ -367,11 +371,37 @@ impl System {
             self.inject(now);
         }
         probe.lap(|t| &mut t.inject);
-        self.step_boards(now);
+        match gate {
+            // Fresh disjoint views over the boards and SRS lanes, published
+            // to the workers for this cycle only. `self` is untouched until
+            // `run_epoch` returns (the commit barrier).
+            Some(gate) => gate.run_epoch(ShardCtx {
+                now,
+                boards: self.boards.as_mut_ptr(),
+                outs: self.outs.as_mut_ptr(),
+                nboards: self.outs.len(),
+                srs: self.srs.shard_parts(),
+            }),
+            None => {
+                for (board, out) in self.boards.iter_mut().zip(&mut self.outs) {
+                    route_board(board, out, now);
+                }
+            }
+        }
+        self.commit_deliveries(now);
         probe.lap(|t| &mut t.route);
-        self.transmit(now);
+        if gate.is_none() {
+            for (s, (board, out)) in self.boards.iter_mut().zip(&mut self.outs).enumerate() {
+                // Most boards have nothing ready most cycles: skip building
+                // their lane.
+                if !board.ready_dests().is_empty() {
+                    transmit_lane(board, self.srs.lane(s as u16), out, now);
+                }
+            }
+        }
+        self.commit_lanes(now);
         self.receive(now);
-        self.srs.tick_traced(now, &mut self.tracer);
+        self.srs.tick(now, &mut self.tracer);
         probe.lap(|t| &mut t.optical);
         let mw = self.srs.record_cycle();
         if self.metrics.measuring(now) {
@@ -381,49 +411,11 @@ impl System {
         self.now += 1;
     }
 
-    /// One cycle of the sharded engine: the sequential prologue
-    /// (faults/windows/DBR/LS/injection) and epilogue (receive, SRS tick,
-    /// power record) are exactly [`System::step_inner`]'s; in between, the
-    /// board loop runs as a parallel compute phase into per-board
-    /// out-buffers, followed by an in-order commit.
-    fn step_sharded(&mut self, gate: &crate::shard::Gate, outs: &mut [crate::shard::BoardOut]) {
-        let now = self.now;
-        self.apply_due_faults(now);
-        self.window_boundary(now);
-        self.apply_due_dbr(now);
-        self.tick_active_round(now);
-        self.inject(now);
-        // Compute phase: fresh disjoint views over the boards and SRS
-        // lanes, published to the workers for this cycle only. `self` is
-        // untouched until `run_epoch` returns (the commit barrier).
-        let ctx = crate::shard::ShardCtx {
-            now,
-            boards: self.boards.as_mut_ptr(),
-            outs: outs.as_mut_ptr(),
-            nboards: outs.len(),
-            srs: self.srs.shard_parts(),
-        };
-        gate.run_epoch(ctx);
-        self.commit_sharded(now, outs);
-        self.receive(now);
-        self.srs.tick_traced(now, &mut self.tracer);
-        let mw = self.srs.record_cycle();
-        if self.metrics.measuring(now) {
-            self.metrics.power.record(mw);
-        }
-        self.now += 1;
-    }
-
-    /// Applies the out-buffers in canonical (ascending) board order, in
-    /// two passes replaying the sequential engine's side-effect sequence
-    /// exactly: pass A is `step_boards`' per-delivery metric/telemetry
-    /// updates for board 0, 1, …; pass B is `transmit`'s wake/arrival
-    /// heap inserts, power-cache invalidation and labelled TX stats, again
-    /// board-ascending. Identical push order on every f64 accumulator and
-    /// identical heap insertion sequence ⇒ bit-identical results.
-    fn commit_sharded(&mut self, now: Cycle, outs: &mut [crate::shard::BoardOut]) {
-        for out in outs.iter() {
-            for d in &out.delivered {
+    /// Commit pass A: every board's deliveries, in ascending board order,
+    /// into the run metrics, the latency histogram and the packet log.
+    fn commit_deliveries(&mut self, now: Cycle) {
+        for out in &mut self.outs {
+            for d in out.delivered.drain(..) {
                 self.metrics.delivered_total += 1;
                 if self.metrics.measuring(now) {
                     self.metrics
@@ -448,15 +440,36 @@ impl System {
                 }
             }
         }
-        for out in outs.iter() {
+    }
+
+    /// Commit pass B: every lane's wake/arrival inserts and power-cache
+    /// invalidation, then the TX stats of its labelled departures (which
+    /// left at `now`), in ascending board order. Identical push order on
+    /// every f64 accumulator and identical heap insertion sequence ⇒
+    /// bit-identical results for either scheduler.
+    fn commit_lanes(&mut self, now: Cycle) {
+        for out in &mut self.outs {
+            // Every lane effect comes from a departure: no arrivals, no
+            // wakes and no power change.
+            if out.fx.arrivals.is_empty() {
+                continue;
+            }
             self.srs.commit_lane_effects(&out.fx);
-            for &(src_path, tx_wait) in &out.tx_labelled {
-                self.metrics.src_path.push(src_path);
+            for (_, arr) in &out.fx.arrivals {
+                let pkt = &arr.packet;
+                if !pkt.labelled {
+                    continue;
+                }
+                let tx_wait = (now - pkt.completed_at) as f64;
+                self.metrics
+                    .src_path
+                    .push((pkt.completed_at - pkt.injected_at) as f64);
                 self.metrics.tx_wait.push(tx_wait);
                 if let Some((reg, ids)) = &mut self.registry {
                     reg.observe(ids.tx_wait_hist, tx_wait);
                 }
             }
+            out.fx.clear();
         }
     }
 
@@ -862,7 +875,7 @@ impl System {
                 reg.inc(ids.grants, outcome.grants.len() as u64);
             }
             self.srs
-                .schedule_grants_traced(now, &outcome.grants, &mut self.tracer);
+                .schedule_grants(now, &outcome.grants, &mut self.tracer);
             // Faults that armed too late to strike this round carry over
             // to the next one.
             let leftovers = round.take_armed();
@@ -876,8 +889,7 @@ impl System {
         while i < self.pending_dbr.len() {
             if self.pending_dbr[i].0 <= now {
                 let (_, grants) = self.pending_dbr.swap_remove(i);
-                self.srs
-                    .schedule_grants_traced(now, &grants, &mut self.tracer);
+                self.srs.schedule_grants(now, &grants, &mut self.tracer);
             } else {
                 i += 1;
             }
@@ -946,76 +958,6 @@ impl System {
         let b = self.cfg.board_of(src);
         let l = self.cfg.local_of(src);
         self.boards[b as usize].enqueue_node_packet(l, packet);
-    }
-
-    fn step_boards(&mut self, now: Cycle) {
-        // Reuse one delivery buffer across all boards and cycles.
-        let mut delivered = std::mem::take(&mut self.delivered_scratch);
-        for b in &mut self.boards {
-            delivered.clear();
-            b.step_into(now, &mut delivered);
-            for d in &delivered {
-                self.metrics.delivered_total += 1;
-                if self.metrics.measuring(now) {
-                    self.metrics
-                        .throughput
-                        .deliver(now, self.cfg.packet_flits as u32);
-                }
-                if d.labelled {
-                    self.metrics.tracker.deliver_labelled();
-                    self.metrics.latency.record(d.injected_at, now);
-                    if let Some((reg, ids)) = &mut self.registry {
-                        reg.observe(ids.latency_hist, (now - d.injected_at) as f64);
-                    }
-                }
-                if let Some(log) = &mut self.packet_log {
-                    log.push(PacketDelivery {
-                        id: d.id.0,
-                        dst: d.dst,
-                        injected_at: d.injected_at,
-                        delivered_at: now,
-                        labelled: d.labelled,
-                    });
-                }
-            }
-        }
-        self.delivered_scratch = delivered;
-    }
-
-    /// Moves ready TX-queue packets onto free owned optical channels.
-    /// Only destinations with a completed packet are visited (the board's
-    /// ready-destination active set); a queue with nothing ready behaved
-    /// as a no-op under the old full `d` scan, so skipping it is
-    /// identical. The snapshot keeps the legacy ascending-`d` order.
-    fn transmit(&mut self, now: Cycle) {
-        let boards = self.cfg.boards;
-        let mut ready = std::mem::take(&mut self.ready_scratch);
-        for s in 0..boards {
-            ready.clear();
-            ready.extend_from_slice(self.boards[s as usize].ready_dests());
-            for &d in &ready {
-                while let Some(pkt) = self.boards[s as usize].tx_queue(d).peek().copied() {
-                    if self.srs.try_transmit(now, s, d, pkt).is_some() {
-                        let Some(departed) = self.boards[s as usize].tx_depart(now, d) else {
-                            break; // unreachable: the queue head was just peeked
-                        };
-                        debug_assert_eq!(departed.id, pkt.id);
-                        if pkt.labelled {
-                            self.metrics
-                                .src_path
-                                .push((pkt.completed_at - pkt.injected_at) as f64);
-                            self.metrics.tx_wait.push((now - pkt.completed_at) as f64);
-                            if let Some((reg, ids)) = &mut self.registry {
-                                reg.observe(ids.tx_wait_hist, (now - pkt.completed_at) as f64);
-                            }
-                        }
-                    } else {
-                        break;
-                    }
-                }
-            }
-        }
-        self.ready_scratch = ready;
     }
 
     /// Delivers optical arrivals into the destination boards' receivers
@@ -1091,14 +1033,14 @@ impl System {
         match kind {
             FaultKind::ReceiverDown { board, wavelength } => {
                 self.srs
-                    .fail_receiver_traced(now, board, wavelength, &mut self.tracer)
+                    .fail_receiver(now, board, wavelength, &mut self.tracer)
             }
             FaultKind::ReceiverRepair { board, wavelength } => {
                 self.srs.repair_receiver(now, board, wavelength)
             }
             FaultKind::TransmitterDown { board, dest } => {
                 self.srs
-                    .fail_transmitter_traced(now, board, dest, &mut self.tracer)
+                    .fail_transmitter(now, board, dest, &mut self.tracer)
             }
             FaultKind::TransmitterRepair { board, dest } => {
                 self.srs.repair_transmitter(now, board, dest)
@@ -1165,7 +1107,7 @@ impl System {
     /// starves — the resilience story reconfigurability buys.
     pub fn fail_receiver(&mut self, d: u16, w: u16) {
         let now = self.now;
-        self.srs.fail_receiver(now, d, w);
+        self.srs.fail_receiver(now, d, w, &mut NullSink);
     }
 
     /// Fault repair: restores the receiver for wavelength `w` at board `d`
@@ -1464,10 +1406,10 @@ impl System {
     /// With `point_threads > 1` the per-cycle hot path (router steps +
     /// lane transmits) is sharded across boards onto up to that many
     /// worker threads (clamped to the board count). The run is
-    /// **byte-identical** for any worker count: the compute phase only
-    /// touches disjoint per-board/per-lane state, and the commit phase
-    /// replays every shared side effect in the sequential engine's exact
-    /// order (see `crate::shard` and DESIGN.md §12).
+    /// **byte-identical** for any worker count: the compute functions only
+    /// touch disjoint per-board/per-lane state, and the same commit applies
+    /// every shared side effect in ascending board order (see
+    /// `crate::shard` and DESIGN.md §12).
     pub fn run_with<F: FnMut(&mut System)>(
         &mut self,
         point_threads: std::num::NonZeroUsize,
@@ -1475,24 +1417,17 @@ impl System {
     ) -> Cycle {
         let workers = point_threads.get().min(self.cfg.boards as usize);
         let plan = self.metrics.plan;
-        let sharded = workers > 1;
-        let mut outs: Vec<crate::shard::BoardOut> = (0..self.cfg.boards)
-            .map(|_| crate::shard::BoardOut::default())
-            .collect();
-        let gate = crate::shard::Gate::new();
+        let gate = Gate::new();
         std::thread::scope(|scope| {
             // The calling thread participates, so spawn `workers - 1`.
             for _ in 1..workers {
                 let gate = &gate;
                 scope.spawn(move || crate::shard::worker(gate));
             }
+            let sharded = (workers > 1).then_some(&gate);
             while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
                 hook(self);
-                if sharded {
-                    self.step_sharded(&gate, &mut outs);
-                } else {
-                    self.step();
-                }
+                self.step_inner(true, &mut NullProbe, sharded);
             }
             gate.halt();
         });
