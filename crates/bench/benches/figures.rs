@@ -7,7 +7,6 @@ use desim::phase::PhasePlan;
 use erapid_bench::timing::bench;
 use erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_core::runner::RunPoint;
-use std::num::NonZeroUsize;
 use traffic::pattern::TrafficPattern;
 
 fn quick_plan(window: u64) -> PhasePlan {
@@ -25,7 +24,7 @@ fn main() {
                     let cfg = SystemConfig::paper64(mode);
                     let plan = quick_plan(cfg.schedule.window);
                     RunPoint::new(cfg, pattern.clone(), 0.5, plan)
-                        .execute(NonZeroUsize::MIN)
+                        .execute()
                         .result
                 },
             );

@@ -44,7 +44,7 @@ fn fmt_run(r: &erapid_core::experiment::RunResult) -> Vec<String> {
 /// load), executed in parallel, printed in input order.
 /// The headline results of `points`, run on `threads` workers.
 fn results(threads: NonZeroUsize, points: Vec<RunPoint>) -> Vec<RunResult> {
-    run_points(threads, NonZeroUsize::MIN, points)
+    run_points(threads, points)
         .into_iter()
         .map(|o| o.result)
         .collect()

@@ -2,7 +2,7 @@
 //!
 //! Offline layer: sweeps a [`TuneGrid`] of DPM operating points
 //! (`L_min`/`L_max`/`B_max`/`R_w`) per (power-aware mode, workload
-//! scenario) through the traced sharded runner, joins each run's
+//! scenario) through the traced run-level pool, joins each run's
 //! `dpm_retunes`/`dbr_grants`/`buffer_crossings` window columns and
 //! latency digest into a [`SweepOutcome`], computes the power/p95-latency
 //! Pareto front per workload and [`choose`]s the point minimising
@@ -29,7 +29,7 @@
 //!   (hotspot/diurnal/incast/collective).
 //! * `ERAPID_TUNE_GRID=smoke|coarse|fine` — grid size (default `coarse`).
 //! * `--smoke` — CI gate: the 2×2 smoke grid on two hostile scenarios
-//!   (small P-B system); asserts every point sequential == board-sharded
+//!   (small P-B system); asserts every point sequential == run-level-fanned
 //!   (controller-enabled leg included) and that the chosen point strictly
 //!   beats the paper-constant baseline objective on ≥1 scenario, exits
 //!   nonzero otherwise.
@@ -195,9 +195,10 @@ fn outcome_json(o: &SweepOutcome) -> String {
 
 /// `--smoke`: the CI gate. The 2×2 smoke grid (plus the baseline) on two
 /// hostile scenarios, small P-B system. Every candidate runs sequential
-/// *and* board-sharded (2 workers) — byte-identical or fail — and so does
-/// one controller-enabled leg per scenario. The chosen point must strictly
-/// beat the paper-constant baseline objective on ≥1 scenario.
+/// *and* fanned out across a 2-worker point pool — byte-identical or fail
+/// — and so does one controller-enabled leg per scenario. The chosen point
+/// must strictly beat the paper-constant baseline objective on ≥1
+/// scenario.
 fn smoke(bench: &BenchConfig) -> ! {
     let specs = [ScenarioSpec::hotspot(), ScenarioSpec::incast()];
     let mode = NetworkMode::PB;
@@ -216,19 +217,28 @@ fn smoke(bench: &BenchConfig) -> ! {
             eprintln!("FAIL [{}]: {msg}", spec.name());
             failures += 1;
         };
-        let mut outcomes = Vec::new();
-        for op in candidates(mode, &grid_points) {
-            let p = point(bench, spec, mode, op, true);
-            let seq = p.clone().execute(NonZeroUsize::MIN);
-            let (seq_r, seq_t) = (seq.result, seq.trace);
-            let shard_r = p.execute(two).result;
-            if seq_r != shard_r {
-                fail(format!(
-                    "{}: sequential != board-sharded result",
-                    op.label()
-                ));
+        let ops = candidates(mode, &grid_points);
+        // The online-controller leg rides last in the same batch.
+        let mut points: Vec<RunPoint> = ops
+            .iter()
+            .map(|&op| point(bench, spec, mode, op, true))
+            .collect();
+        points.push(controller_point(bench, spec, mode, baseline(mode), true));
+        let fanned = run_points(two, points.clone());
+        let seq: Vec<_> = points.into_iter().map(RunPoint::execute).collect();
+        for (i, (s, f)) in seq.iter().zip(&fanned).enumerate() {
+            if s.result != f.result {
+                let label = ops
+                    .get(i)
+                    .map_or("controller-enabled".into(), |op| op.label());
+                fail(format!("{label}: sequential != fanned-out result"));
             }
-            if let Some(o) = join(op, &seq_r, &seq_t) {
+        }
+        let (cands, ctl) = seq.split_at(ops.len());
+        let cs_r = ctl[0].result;
+        let mut outcomes = Vec::new();
+        for (&op, o) in ops.iter().zip(cands) {
+            if let Some(o) = join(op, &o.result, &o.trace) {
                 println!(
                     "  [{}] {}: delivered {:.1}%, power {:.1} mW, p95 {:.0}, objective {:.0}",
                     spec.name(),
@@ -241,13 +251,6 @@ fn smoke(bench: &BenchConfig) -> ! {
                 outcomes.push(o);
             }
         }
-        // Online-controller leg: the adaptive config must shard identically.
-        let cp = controller_point(bench, spec, mode, baseline(mode), true);
-        let cs_r = cp.clone().execute(NonZeroUsize::MIN).result;
-        let ch_r = cp.execute(two).result;
-        if cs_r != ch_r {
-            fail("controller-enabled: sequential != board-sharded result".into());
-        }
         if cs_r.delivered == 0 {
             fail("controller-enabled run delivered no packets".into());
         }
@@ -256,7 +259,7 @@ fn smoke(bench: &BenchConfig) -> ! {
             (Some(base), Ok(chosen)) => {
                 let beat = improves(chosen, &base);
                 println!(
-                    "ok [{}]: {} candidates seq == sharded; chosen {} objective {:.1} vs baseline {:.1}{}",
+                    "ok [{}]: {} candidates seq == fanned; chosen {} objective {:.1} vs baseline {:.1}{}",
                     spec.name(),
                     outcomes.len(),
                     chosen.point.label(),
@@ -279,7 +282,7 @@ fn smoke(bench: &BenchConfig) -> ! {
         std::process::exit(1);
     }
     println!(
-        "autotune --smoke: all points byte-identical across engines, baseline beaten on {improved}/{} scenarios",
+        "autotune --smoke: all points byte-identical seq vs fanned, baseline beaten on {improved}/{} scenarios",
         specs.len()
     );
     std::process::exit(0);
@@ -302,12 +305,11 @@ fn main() {
         }
     };
     println!(
-        "=== autotune @ {sha}: paper64, load {LOAD}, {} scenarios x {} modes x {} grid points ({grid_name}) on {} threads x {} point workers ===\n",
+        "=== autotune @ {sha}: paper64, load {LOAD}, {} scenarios x {} modes x {} grid points ({grid_name}) on {} threads ===\n",
         specs.len(),
         modes.len(),
         grid_points.len(),
-        bench.threads,
-        bench.point_threads
+        bench.threads
     );
 
     // Stage 1 — offline sweep: every (mode, scenario, candidate) run at
@@ -325,7 +327,7 @@ fn main() {
         })
         .map(|(m, s, op)| point(&bench, s, m, op, false))
         .collect();
-    let sweep_runs = run_points(bench.threads, bench.point_threads, sweep_points);
+    let sweep_runs = run_points(bench.threads, sweep_points);
 
     // Join + choose per workload.
     struct Tuned<'a> {
@@ -376,7 +378,7 @@ fn main() {
             controller_point(&bench, t.spec, t.mode, seed, false)
         })
         .collect();
-    let ctl_runs = run_points(bench.threads, bench.point_threads, ctl_points);
+    let ctl_runs = run_points(bench.threads, ctl_points);
 
     let mut improved_workloads = 0;
     let mut workload_json: Vec<String> = Vec::new();

@@ -15,7 +15,6 @@ use erapid_core::experiment::default_plan;
 use erapid_core::runner::parallel_map;
 use erapid_core::runner::RunPoint;
 use netstats::table::Table;
-use std::num::NonZeroUsize;
 use traffic::pattern::TrafficPattern;
 
 fn main() {
@@ -43,7 +42,7 @@ fn main() {
             let rate = cfg.capacity().injection_rate(load);
             let plan = default_plan(cfg.schedule.window);
             let er = RunPoint::new(cfg, pattern.clone(), load, plan)
-                .execute(NonZeroUsize::MIN)
+                .execute()
                 .result;
             let mesh = run_mesh(MeshConfig::paper64(), pattern.clone(), rate, plan);
             vec![

@@ -14,7 +14,6 @@ use erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_core::experiment::default_plan;
 use erapid_core::runner::RunPoint;
 use netstats::table::Table;
-use std::num::NonZeroUsize;
 use traffic::pattern::TrafficPattern;
 
 fn main() {
@@ -45,7 +44,7 @@ fn main() {
                 let cfg = SystemConfig::paper64(*mode);
                 let plan = default_plan(cfg.schedule.window);
                 let r = RunPoint::new(cfg, pattern.clone(), load, plan)
-                    .execute(NonZeroUsize::MIN)
+                    .execute()
                     .result;
                 let rest = (r.latency - r.src_path - r.tx_wait).max(0.0);
                 t.row(vec![

@@ -15,17 +15,13 @@
 //! * a fixed reduced-grid smoke rate (`cycles_per_sec_smoke`) that
 //!   `verify.sh` re-measures via `--smoke` (median of
 //!   [`SMOKE_REPEATS`] samples, as is the route share) and compares
-//!   against the committed baseline, failing on a >20% regression,
-//! * an intra-point speedup measurement: the heaviest smoke point run
-//!   through the board-sharded engine (DESIGN.md §12) against the
-//!   sequential engine, identical results asserted and — whenever the
-//!   machine actually has >= 2 hardware threads — gated at >= 1.5x.
+//!   against the committed baseline, failing on a >20% regression.
 //!
 //! ```text
 //! cargo run --release -p erapid-bench --bin perfreport
 //! cargo run --release -p erapid-bench --bin perfreport -- --smoke
 //! ERAPID_THREADS=4 cargo run --release -p erapid-bench --bin perfreport
-//! cargo run --release -p erapid-bench --bin perfreport -- --seq   # force 1x1 threading
+//! cargo run --release -p erapid-bench --bin perfreport -- --seq   # force 1 thread
 //! ```
 
 use desim::phase::PhasePlan;
@@ -98,63 +94,10 @@ fn median_min_max(mut samples: Vec<f64>) -> (f64, f64, f64) {
 fn measure_smoke() -> (f64, u64) {
     let one = NonZeroUsize::new(1).unwrap();
     let t0 = Instant::now();
-    let results = run_points(one, one, smoke_points());
+    let results = run_points(one, smoke_points());
     let wall = t0.elapsed().as_secs_f64();
     let cycles: u64 = results.iter().map(|o| o.result.cycles).sum();
     (cycles as f64 / wall.max(1e-9), cycles)
-}
-
-/// Times the heaviest smoke point (by the scheduler's own cost estimate)
-/// with the sequential engine and again with the board-sharded engine on
-/// `workers` workers, asserting identical results. Returns
-/// (sequential_s, sharded_s, speedup).
-fn measure_intra_point(workers: NonZeroUsize) -> (f64, f64, f64) {
-    let point = smoke_points()
-        .into_iter()
-        .max_by_key(|p| p.estimated_cost())
-        .expect("smoke grid is non-empty");
-    let seq = point.clone().execute(NonZeroUsize::MIN);
-    let sharded = point.execute(workers);
-    assert_eq!(
-        seq.result, sharded.result,
-        "sharded point diverged from sequential"
-    );
-    let (seq_s, sharded_s) = (seq.wall.as_secs_f64(), sharded.wall.as_secs_f64());
-    (seq_s, sharded_s, seq_s / sharded_s.max(1e-9))
-}
-
-/// Worker count for the intra-point measurement: up to 4 hardware
-/// threads, 1 when `--seq` was passed.
-fn intra_point_workers(seq_flag: bool) -> NonZeroUsize {
-    if seq_flag {
-        NonZeroUsize::MIN
-    } else {
-        NonZeroUsize::new(available_threads().get().min(4)).unwrap_or(NonZeroUsize::MIN)
-    }
-}
-
-/// Prints and (when real parallelism exists) gates the intra-point
-/// speedup at >= 1.5x. Exits the process in `strict` mode, panics
-/// otherwise — both fail CI the same way.
-fn check_intra_point(workers: NonZeroUsize, strict: bool) -> f64 {
-    let (seq_s, sharded_s, sp) = measure_intra_point(workers);
-    println!(
-        "  intra-point: heaviest smoke point seq {seq_s:.2}s  sharded {sharded_s:.2}s  \
-         -> {sp:.2}x on {workers} board workers (results identical)"
-    );
-    if workers.get() >= 2 && available_threads().get() >= 2 {
-        if sp < 1.5 {
-            if strict {
-                eprintln!("FAIL: intra-point speedup {sp:.2}x < 1.5x on {workers} workers");
-                std::process::exit(1);
-            }
-            panic!("intra-point speedup {sp:.2}x < 1.5x on {workers} workers");
-        }
-        println!("  intra-point speedup gate: {sp:.2}x >= 1.5x OK");
-    } else {
-        println!("  intra-point speedup gate: skipped (single hardware thread)");
-    }
-    sp
 }
 
 /// Extracts `"<key>": <number>` from a baseline JSON blob (no serde in
@@ -225,10 +168,9 @@ fn route_frac(t: &PhaseTimers) -> f64 {
 /// likewise fail when the median route-phase *share* of the
 /// representative profile grew more than 20% over the baseline's
 /// `route_frac` (a share gate is box-speed independent — it catches the
-/// router hot path slipping back toward dominating the cycle). Then gate
-/// the intra-point sharded speedup. With no baseline carrying a field
-/// yet, that measurement is informational.
-fn run_smoke(baseline_path: Option<&str>, seq_flag: bool) {
+/// router hot path slipping back toward dominating the cycle). With no
+/// baseline carrying a field yet, that measurement is informational.
+fn run_smoke(baseline_path: Option<&str>) {
     let samples: Vec<(f64, u64)> = (0..SMOKE_REPEATS).map(|_| measure_smoke()).collect();
     let cycles = samples[0].1;
     let (rate, lo, hi) = median_min_max(samples.iter().map(|&(r, _)| r).collect());
@@ -281,18 +223,16 @@ fn run_smoke(baseline_path: Option<&str>, seq_flag: bool) {
         }
         None => println!("no committed baseline with route_frac; recording only"),
     }
-    check_intra_point(intra_point_workers(seq_flag), true);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seq_flag = args.iter().any(|a| a == "--seq");
     if args.first().map(String::as_str) == Some("--smoke") {
         let baseline = args
             .get(1)
             .filter(|a| !a.starts_with("--"))
             .map(String::as_str);
-        run_smoke(baseline, seq_flag);
+        run_smoke(baseline);
         return;
     }
 
@@ -330,11 +270,11 @@ fn main() {
             .collect();
 
         let t0 = Instant::now();
-        let seq = run_points(one, one, points.clone());
+        let seq = run_points(one, points.clone());
         let sequential_s = t0.elapsed().as_secs_f64();
 
         let t1 = Instant::now();
-        let par = run_points(cfg.threads, one, points);
+        let par = run_points(cfg.threads, points);
         let parallel_s = t1.elapsed().as_secs_f64();
 
         let seq_results: Vec<_> = seq.iter().map(|o| o.result).collect();
@@ -408,9 +348,6 @@ fn main() {
     let (cps_smoke, smoke_cycles) = measure_smoke();
     println!("  smoke rate: {cps_smoke:.0} sim cycles/sec ({smoke_cycles} cycles, reduced grid)");
 
-    let ip_workers = intra_point_workers(seq_flag);
-    let intra_point_speedup = check_intra_point(ip_workers, false);
-
     let rss = peak_rss_kb();
     println!("  peak RSS: {rss} kB");
 
@@ -438,7 +375,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"git_sha\": \"{sha}\",\n  \"threads\": {threads},\n  \"workload\": {{\"system\": \"paper64\", \"modes\": 4, \"patterns\": [\"uniform\", \"complement\"], \"loads\": [0.2, 0.5, 0.8]}},\n  \"panels\": [\n{panels}\n  ],\n  \"phase_profile\": {{\n    \"workload\": \"paper64 P-B complement 0.5\",\n    \"cycles\": {prof_cycles},\n    \"reconfig_s\": {reconf:.6},\n    \"inject_s\": {inject:.6},\n    \"route_s\": {route:.6},\n    \"optical_s\": {optical:.6},\n    \"stats_s\": {stats:.6},\n    \"route_frac\": {prof_route_frac:.4}\n  }},\n  \"totals\": {{\n    \"sequential_s\": {seq_total:.6},\n    \"parallel_s\": {par_total:.6},\n    \"speedup\": {speedup:.3},\n    \"sim_cycles\": {cycles_total},\n    \"cycles_per_sec_single\": {cps_single:.0},\n    \"cycles_per_sec_parallel\": {cps_parallel:.0},\n    \"cycles_per_sec_smoke\": {cps_smoke:.0},\n    \"intra_point_workers\": {ip_workers},\n    \"intra_point_speedup\": {intra_point_speedup:.3}\n  }},\n  \"peak_rss_kb\": {rss},\n  \"parallel_identical\": true\n}}\n",
+        "{{\n  \"git_sha\": \"{sha}\",\n  \"threads\": {threads},\n  \"workload\": {{\"system\": \"paper64\", \"modes\": 4, \"patterns\": [\"uniform\", \"complement\"], \"loads\": [0.2, 0.5, 0.8]}},\n  \"panels\": [\n{panels}\n  ],\n  \"phase_profile\": {{\n    \"workload\": \"paper64 P-B complement 0.5\",\n    \"cycles\": {prof_cycles},\n    \"reconfig_s\": {reconf:.6},\n    \"inject_s\": {inject:.6},\n    \"route_s\": {route:.6},\n    \"optical_s\": {optical:.6},\n    \"stats_s\": {stats:.6},\n    \"route_frac\": {prof_route_frac:.4}\n  }},\n  \"totals\": {{\n    \"sequential_s\": {seq_total:.6},\n    \"parallel_s\": {par_total:.6},\n    \"speedup\": {speedup:.3},\n    \"sim_cycles\": {cycles_total},\n    \"cycles_per_sec_single\": {cps_single:.0},\n    \"cycles_per_sec_parallel\": {cps_parallel:.0},\n    \"cycles_per_sec_smoke\": {cps_smoke:.0}\n  }},\n  \"peak_rss_kb\": {rss},\n  \"parallel_identical\": true\n}}\n",
         threads = cfg.threads,
         panels = panel_json.join(",\n"),
         reconf = timers.reconfig.as_secs_f64(),

@@ -266,7 +266,7 @@ fn main() {
     let mut cfg = recording_config();
     cfg.record_injections = true;
     let plan = bench.plan(cfg.schedule.window);
-    let recorded = RunPoint::new(cfg, PATTERN, LOAD, plan).execute(NonZeroUsize::MIN);
+    let recorded = RunPoint::new(cfg, PATTERN, LOAD, plan).execute();
     let recorded_result = recorded.result;
     let mut trace = recorded.recording.expect("recording is on");
     trace.meta.git_sha = sha.clone();
@@ -300,7 +300,7 @@ fn main() {
     // 3. Conformance: self-replay reproduces the recording byte-identically.
     let trace = Arc::new(reloaded);
     let self_replay = RunPoint::replay(recording_config(), Arc::clone(&trace), plan)
-        .execute(NonZeroUsize::MIN)
+        .execute()
         .result;
     assert_eq!(
         self_replay, recorded_result,
@@ -316,7 +316,7 @@ fn main() {
     let seq_points = points.clone();
     let window = recording_config().schedule.window;
     let one = NonZeroUsize::MIN;
-    let replayed = run_points(bench.threads, bench.point_threads, points);
+    let replayed = run_points(bench.threads, points);
     let diffs = {
         let base = latency_by_id(&replayed[0].trace.packets);
         NetworkMode::all()
@@ -327,7 +327,7 @@ fn main() {
     };
     let report = report_json(&sha, bench.quick, &trace, &diffs);
 
-    let seq_replayed = run_points(one, one, seq_points);
+    let seq_replayed = run_points(one, seq_points);
     let seq_diffs = {
         let base = latency_by_id(&seq_replayed[0].trace.packets);
         NetworkMode::all()

@@ -241,7 +241,7 @@ fn main() {
             points.push(point(&bench, mode, s.control, s.faults.clone()));
         }
     }
-    let results: Vec<RunResult> = run_points(bench.threads, bench.point_threads, points)
+    let results: Vec<RunResult> = run_points(bench.threads, points)
         .into_iter()
         .map(|o| o.result)
         .collect();
@@ -335,7 +335,7 @@ fn main() {
             hpoints.push(hostile_point(&bench, w, s.control, s.faults.clone()));
         }
     }
-    let hresults: Vec<RunResult> = run_points(bench.threads, bench.point_threads, hpoints)
+    let hresults: Vec<RunResult> = run_points(bench.threads, hpoints)
         .into_iter()
         .map(|o| o.result)
         .collect();

@@ -11,16 +11,13 @@
 //!
 //! Besides the table, the run writes `SCALING_<git-sha>.json` with per-B
 //! wall times, a per-phase breakdown (one profiled P-B complement run per
-//! B), memory figures (analytic per-system footprint + process peak
-//! RSS) and a per-B sharded-vs-sequential speedup column (one P-B
-//! complement point timed with the board-sharded engine, DESIGN.md §12,
-//! against the sequential engine — identical results asserted), so the
-//! O(B²) state and O(B³) channel-bank growth *and* the intra-point
-//! parallel yield are tracked across commits. A `route_comparison` object
+//! B) and memory figures (analytic per-system footprint + process peak
+//! RSS), so the O(B²) state and O(B³) channel-bank growth are tracked
+//! across commits. A `route_comparison` object
 //! additionally pins this run's B=32 route-phase cycles/sec against the
 //! best committed artifact, so router hot-path speedups (e.g. the bitset
-//! rewrite, DESIGN.md §16) are visible in the artifact trajectory. The JSON records the actual
-//! run-level and point-level worker counts in use plus the machine's
+//! rewrite, DESIGN.md §16) are visible in the artifact trajectory. The
+//! JSON records the run-level worker count in use plus the machine's
 //! hardware thread count, so a figure from a 1-core CI box is
 //! distinguishable from a workstation run.
 //!
@@ -36,7 +33,6 @@ use erapid_core::system::PhaseTimers;
 use erapid_core::System;
 use netstats::table::Table;
 use reconfig::stages::ProtocolTiming;
-use std::num::NonZeroUsize;
 use traffic::pattern::TrafficPattern;
 
 const BOARDS: [u16; 4] = [4, 8, 16, 32];
@@ -139,41 +135,6 @@ struct BoardProfile {
     memory_bytes: usize,
 }
 
-/// One P-B complement point timed with the sequential engine and again
-/// with the board-sharded engine on `workers` workers, results asserted
-/// identical.
-struct Speedup {
-    boards: u16,
-    workers: usize,
-    seq_wall_s: f64,
-    sharded_wall_s: f64,
-}
-
-impl Speedup {
-    fn ratio(&self) -> f64 {
-        self.seq_wall_s / self.sharded_wall_s.max(1e-9)
-    }
-}
-
-fn speedup(boards: u16, workers: NonZeroUsize) -> Speedup {
-    let run = |pt: NonZeroUsize| {
-        let out = point(boards, NetworkMode::PB, &TrafficPattern::Complement, LOAD).execute(pt);
-        (out.result, out.wall.as_secs_f64())
-    };
-    let (seq, seq_wall_s) = run(NonZeroUsize::MIN);
-    let (sharded, sharded_wall_s) = run(workers);
-    assert_eq!(
-        seq, sharded,
-        "B={boards}: sharded run diverged from sequential"
-    );
-    Speedup {
-        boards,
-        workers: workers.get(),
-        seq_wall_s,
-        sharded_wall_s,
-    }
-}
-
 fn profile(boards: u16) -> BoardProfile {
     let cfg = config(boards, NetworkMode::PB);
     let plan = default_plan(cfg.schedule.window);
@@ -215,7 +176,7 @@ fn main() {
                 .map(|mode| point(*boards, mode, pattern, LOAD))
         })
         .collect();
-    let timed: Vec<_> = run_points(bench.threads, bench.point_threads, points)
+    let timed: Vec<_> = run_points(bench.threads, points)
         .into_iter()
         .map(|o| (o.result, o.wall))
         .collect();
@@ -325,30 +286,6 @@ fn main() {
         }
     };
 
-    // Per-B intra-point yield: the board-sharded engine against the
-    // sequential one, same point, identical results asserted. Worker
-    // count: the ERAPID_POINT_THREADS knob when set above 1, else up to 4
-    // hardware threads (a 1-core box honestly reports ~1x).
-    let shard_workers = if bench.point_threads.get() > 1 {
-        bench.point_threads
-    } else {
-        NonZeroUsize::new(available_threads().get().min(4)).unwrap_or(NonZeroUsize::MIN)
-    };
-    println!(
-        "\nper-B sharded-vs-sequential speedup (P-B complement, {} workers):",
-        shard_workers
-    );
-    let speedups: Vec<Speedup> = BOARDS.iter().map(|&b| speedup(b, shard_workers)).collect();
-    for s in &speedups {
-        println!(
-            "  B={:<3} seq {:>7.2}s  sharded {:>7.2}s  speedup {:.2}x",
-            s.boards,
-            s.seq_wall_s,
-            s.sharded_wall_s,
-            s.ratio()
-        );
-    }
-
     let row_json: Vec<String> = grid
         .iter()
         .enumerate()
@@ -384,28 +321,13 @@ fn main() {
             )
         })
         .collect();
-    let speedup_json: Vec<String> = speedups
-        .iter()
-        .map(|s| {
-            format!(
-                "    {{\"boards\": {}, \"workers\": {}, \"seq_wall_s\": {:.6}, \"sharded_wall_s\": {:.6}, \"speedup\": {:.4}, \"sharded_identical\": true}}",
-                s.boards,
-                s.workers,
-                s.seq_wall_s,
-                s.sharded_wall_s,
-                s.ratio(),
-            )
-        })
-        .collect();
     let json = format!(
-        "{{\n  \"git_sha\": \"{sha}\",\n  \"threads\": {threads},\n  \"point_threads\": {point_threads},\n  \"hw_threads\": {hw_threads},\n  \"workload\": {{\"nodes_per_board\": 8, \"boards\": [4, 8, 16, 32], \"load\": {LOAD}, \"patterns\": [\"complement\", \"uniform\"], \"modes\": [\"NP-NB\", \"P-B\"]}},\n  \"rows\": [\n{rows}\n  ],\n  \"phase_profiles\": [\n{profs}\n  ],\n  \"sharded_speedups\": [\n{speedups}\n  ],\n{route_cmp}  \"peak_rss_kb\": {rss}\n}}\n",
+        "{{\n  \"git_sha\": \"{sha}\",\n  \"threads\": {threads},\n  \"hw_threads\": {hw_threads},\n  \"workload\": {{\"nodes_per_board\": 8, \"boards\": [4, 8, 16, 32], \"load\": {LOAD}, \"patterns\": [\"complement\", \"uniform\"], \"modes\": [\"NP-NB\", \"P-B\"]}},\n  \"rows\": [\n{rows}\n  ],\n  \"phase_profiles\": [\n{profs}\n  ],\n{route_cmp}  \"peak_rss_kb\": {rss}\n}}\n",
         route_cmp = route_cmp_json,
         threads = bench.threads,
-        point_threads = bench.point_threads,
         hw_threads = available_threads(),
         rows = row_json.join(",\n"),
         profs = profile_json.join(",\n"),
-        speedups = speedup_json.join(",\n"),
     );
     let path = format!("SCALING_{sha}.json");
     match std::fs::write(&path, json) {

@@ -26,8 +26,8 @@
 //! * `ERAPID_SCENARIO_SEED=<n>` — override the config seed for scenario
 //!   streams.
 //! * `--smoke` — CI gate: one small P-B point per scenario; asserts
-//!   nonzero delivery and sequential == board-sharded == fanned-out
-//!   results, exits nonzero on any mismatch.
+//!   nonzero delivery and sequential == run-level-fanned results, exits
+//!   nonzero on any mismatch.
 
 use erapid_bench::{git_sha, rank_worst_offenders, BenchConfig};
 use erapid_core::config::{NetworkMode, SystemConfig};
@@ -79,9 +79,9 @@ fn point(bench: &BenchConfig, spec: &ScenarioSpec, mode: NetworkMode, small: boo
     RunPoint::new(cfg, TrafficPattern::Uniform, LOAD, plan)
 }
 
-/// `--smoke`: the CI gate. One small P-B point per scenario, three ways:
-/// sequential, board-sharded (2 workers), and fanned out across the point
-/// pool — delivery must be nonzero and all three byte-identical.
+/// `--smoke`: the CI gate. One small P-B point per scenario, two ways:
+/// sequential and fanned out across a 2-worker point pool — delivery must
+/// be nonzero and both byte-identical.
 fn smoke(bench: &BenchConfig) -> ! {
     let specs = suite();
     let two = NonZeroUsize::new(2).unwrap();
@@ -89,12 +89,11 @@ fn smoke(bench: &BenchConfig) -> ! {
         .iter()
         .map(|s| point(bench, s, NetworkMode::PB, true))
         .collect();
-    let fanned = run_points(two, NonZeroUsize::MIN, points.clone());
+    let fanned = run_points(two, points.clone());
     let mut failures = 0;
     for (spec, (p, fan)) in specs.iter().zip(points.into_iter().zip(fanned)) {
         let fan_r = fan.result;
-        let seq_r = p.clone().execute(NonZeroUsize::MIN).result;
-        let shard_r = p.execute(two).result;
+        let seq_r = p.execute().result;
         let mut fail = |msg: &str| {
             eprintln!("FAIL [{}]: {msg}", spec.name());
             failures += 1;
@@ -102,15 +101,12 @@ fn smoke(bench: &BenchConfig) -> ! {
         if seq_r.delivered == 0 {
             fail("delivered no packets");
         }
-        if seq_r != shard_r {
-            fail("sequential != board-sharded result");
-        }
         if seq_r != fan_r {
             fail("sequential != fanned-out result");
         }
         if failures == 0 {
             println!(
-                "ok [{}]: delivered {}/{} injected, seq == sharded == fanned",
+                "ok [{}]: delivered {}/{} injected, seq == fanned",
                 spec.name(),
                 seq_r.delivered,
                 seq_r.injected
@@ -161,11 +157,10 @@ fn main() {
     let specs = suite();
     let modes = NetworkMode::all();
     println!(
-        "=== scenario matrix @ {sha}: paper64, load {LOAD}, {} scenarios x {} modes on {} threads x {} point workers ===\n",
+        "=== scenario matrix @ {sha}: paper64, load {LOAD}, {} scenarios x {} modes on {} threads ===\n",
         specs.len(),
         modes.len(),
-        bench.threads,
-        bench.point_threads
+        bench.threads
     );
 
     let points: Vec<RunPoint> = specs
@@ -173,7 +168,7 @@ fn main() {
         .flat_map(|s| modes.iter().map(move |&m| (s, m)))
         .map(|(s, m)| point(&bench, s, m, false))
         .collect();
-    let results = run_points(bench.threads, bench.point_threads, points);
+    let results = run_points(bench.threads, points);
 
     let mut scenario_json: Vec<String> = Vec::new();
     let mut pb_survival: Vec<(f64, &'static str)> = Vec::new();

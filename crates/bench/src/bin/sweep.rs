@@ -113,7 +113,6 @@ fn main() {
     let labels: Vec<(NetworkMode, f64)> = points.iter().map(|(m, l, _)| (*m, *l)).collect();
     let results = run_points(
         bench.threads,
-        bench.point_threads,
         points.into_iter().map(|(_, _, p)| p).collect(),
     );
     for ((mode, load), r) in labels.into_iter().zip(results.iter().map(|o| o.result)) {

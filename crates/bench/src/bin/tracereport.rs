@@ -110,7 +110,7 @@ fn main() {
 
     let points: Vec<RunPoint> = loads.iter().map(|&l| point(&bench, l)).collect();
     let seq_points = points.clone();
-    let traced = run_points(bench.threads, bench.point_threads, points);
+    let traced = run_points(bench.threads, points);
     let results: Vec<_> = traced.iter().map(|o| o.result).collect();
     let traces: Vec<_> = traced.into_iter().map(|o| o.trace).collect();
     let par_doc = batch_jsonl(&loads, &traces);
@@ -118,7 +118,7 @@ fn main() {
     // Determinism check: the same points on one worker must serialize to
     // the same bytes.
     let one = NonZeroUsize::MIN;
-    let seq_traced = run_points(one, one, seq_points);
+    let seq_traced = run_points(one, seq_points);
     let seq_traces: Vec<_> = seq_traced.into_iter().map(|o| o.trace).collect();
     let seq_doc = batch_jsonl(&loads, &seq_traces);
     assert_eq!(

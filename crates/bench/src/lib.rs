@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Shared harness for the figure/table regeneration binaries.
 //!
 //! Every binary prints the same rows/series the paper reports and drops a
@@ -13,16 +14,14 @@
 //! * `ERAPID_THREADS=<n>` — worker threads for the run-level executor
 //!   (default: all available cores; results are byte-identical for any
 //!   value).
-//! * `ERAPID_POINT_THREADS=<n>` — board-shard workers *inside* each
-//!   point's cycle engine (DESIGN.md §12; default 1 = sequential engine,
-//!   0 = all available cores; byte-identical for any value).
 //! * `ERAPID_TRACE=<path>` — where the `tracereport` binary writes its
 //!   JSONL event trace (a Chrome/Perfetto trace lands next to it).
 //!
 //! Every binary also accepts a `--seq` escape-hatch flag (handled here in
-//! [`BenchConfig::from_env`], no per-binary parsing): it forces both the
-//! run-level executor and the per-point cycle engine to a single thread,
-//! overriding the env knobs — for debugging and for timing baselines.
+//! [`BenchConfig::from_env`], no per-binary parsing): it forces the
+//! run-level executor to a single thread, overriding `ERAPID_THREADS` —
+//! for debugging and for timing baselines. Each point's cycle loop always
+//! runs on one thread.
 
 use erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_core::experiment::{default_plan, paper_loads, RunResult};
@@ -73,9 +72,6 @@ pub struct BenchConfig {
     pub quick: bool,
     /// Worker threads for the run-level executor.
     pub threads: NonZeroUsize,
-    /// Board-shard workers inside each point's cycle engine (1 = the
-    /// sequential engine; DESIGN.md §12).
-    pub point_threads: NonZeroUsize,
     /// Directory CSVs (and the perf report) are written to.
     pub results: PathBuf,
     /// Event-trace output path (`tracereport` only; `None` = default).
@@ -87,7 +83,6 @@ impl Default for BenchConfig {
         Self {
             quick: false,
             threads: runner::available_threads(),
-            point_threads: NonZeroUsize::MIN,
             results: PathBuf::from("results"),
             trace: None,
         }
@@ -95,10 +90,10 @@ impl Default for BenchConfig {
 }
 
 impl BenchConfig {
-    /// Reads `ERAPID_QUICK`, `ERAPID_THREADS`, `ERAPID_POINT_THREADS`,
-    /// `ERAPID_RESULTS` and `ERAPID_TRACE`, plus the `--seq` escape hatch
-    /// from the command line (forces both thread knobs to 1). Binaries
-    /// call this once at the top of `main`.
+    /// Reads `ERAPID_QUICK`, `ERAPID_THREADS`, `ERAPID_RESULTS` and
+    /// `ERAPID_TRACE`, plus the `--seq` escape hatch from the command line
+    /// (forces `threads` to 1). Binaries call this once at the top of
+    /// `main`.
     pub fn from_env() -> Self {
         let seq = std::env::args().skip(1).any(|a| a == "--seq");
         Self {
@@ -109,11 +104,6 @@ impl BenchConfig {
                 NonZeroUsize::MIN
             } else {
                 runner::threads_from_env()
-            },
-            point_threads: if seq {
-                NonZeroUsize::MIN
-            } else {
-                runner::point_threads_from_env()
             },
             results: PathBuf::from(
                 std::env::var("ERAPID_RESULTS").unwrap_or_else(|_| "results".into()),
@@ -158,12 +148,9 @@ impl BenchConfig {
         RunPoint::new(cfg, pattern.clone(), load, plan)
     }
 
-    /// Runs one (mode, pattern, load) point on the paper's 64-node system,
-    /// board-sharded onto `point_threads` workers (1 = sequential engine).
+    /// Runs one (mode, pattern, load) point on the paper's 64-node system.
     pub fn run_point(&self, mode: NetworkMode, pattern: &TrafficPattern, load: f64) -> RunResult {
-        self.point(mode, pattern, load)
-            .execute(self.point_threads)
-            .result
+        self.point(mode, pattern, load).execute().result
     }
 
     /// Runs the full panel for one pattern (the 4 curves of one figure
@@ -174,19 +161,18 @@ impl BenchConfig {
         let loads = self.load_axis();
         let modes = NetworkMode::all();
         eprintln!(
-            "  running {} ({} modes x {} loads on {} threads x {} point workers) ...",
+            "  running {} ({} modes x {} loads on {} threads) ...",
             name,
             modes.len(),
             loads.len(),
-            self.threads,
-            self.point_threads
+            self.threads
         );
         let points: Vec<RunPoint> = modes
             .iter()
             .flat_map(|&mode| loads.iter().map(move |&l| (mode, l)))
             .map(|(mode, l)| self.point(mode, pattern, l))
             .collect();
-        let mut flat: Vec<RunResult> = runner::run_points(self.threads, self.point_threads, points)
+        let mut flat: Vec<RunResult> = runner::run_points(self.threads, points)
             .into_iter()
             .map(|o| o.result)
             .collect();
@@ -236,11 +222,7 @@ pub fn run_panel_sequential(cfg: &BenchConfig, name: &str, pattern: &TrafficPatt
     for mode in NetworkMode::all() {
         let series: Vec<RunResult> = loads
             .iter()
-            .map(|&l| {
-                cfg.point(mode, pattern, l)
-                    .execute(NonZeroUsize::MIN)
-                    .result
-            })
+            .map(|&l| cfg.point(mode, pattern, l).execute().result)
             .collect();
         results.push((mode, series));
     }
@@ -416,26 +398,6 @@ mod tests {
     fn run_point_smoke() {
         let r = quick_cfg().run_point(NetworkMode::NpNb, &TrafficPattern::Uniform, 0.2);
         assert!(r.throughput > 0.0);
-    }
-
-    #[test]
-    fn sharded_panel_matches_sequential() {
-        // Run-level pool *and* per-point board sharding at once: the
-        // nested 2x2 budget must still be byte-identical to the plain
-        // sequential loop.
-        let cfg = BenchConfig {
-            quick: true,
-            threads: NonZeroUsize::new(2).unwrap(),
-            point_threads: NonZeroUsize::new(2).unwrap(),
-            ..BenchConfig::default()
-        };
-        let par = cfg.run_panel("uniform", &TrafficPattern::Uniform);
-        let seq = run_panel_sequential(&cfg, "uniform", &TrafficPattern::Uniform);
-        assert_eq!(par.loads, seq.loads);
-        for ((ma, sa), (mb, sb)) in par.results.iter().zip(&seq.results) {
-            assert_eq!(ma, mb);
-            assert_eq!(sa, sb, "mode {} series diverged", ma.name());
-        }
     }
 
     #[test]

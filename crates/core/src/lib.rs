@@ -1,7 +1,6 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![deny(clippy::perf)]
-// Only the board workers (`shard`, `SrsLane::from_parts`) opt back in.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 //! # erapid-core — the E-RAPID system model
 //!
 //! This crate is the paper's primary contribution assembled from the
@@ -62,13 +61,12 @@
 //! use erapid_core::config::{NetworkMode, SystemConfig};
 //! use erapid_core::runner::RunPoint;
 //! use desim::phase::PhasePlan;
-//! use std::num::NonZeroUsize;
 //! use traffic::pattern::TrafficPattern;
 //!
 //! let cfg = SystemConfig::small(NetworkMode::PB); // fast R(1,4,4) system
 //! let plan = PhasePlan::new(2000, 4000).with_max_cycles(40_000);
 //! let point = RunPoint::new(cfg, TrafficPattern::Uniform, 0.3, plan);
-//! let r = point.execute(NonZeroUsize::MIN).result;
+//! let r = point.execute().result;
 //! assert!(r.throughput > 0.0);
 //! assert!(r.power_mw > 0.0);
 //! assert_eq!(r.undrained, 0);
@@ -83,8 +81,6 @@ pub mod faults;
 pub mod inject;
 pub mod metrics;
 pub mod runner;
-#[allow(unsafe_code)]
-pub(crate) mod shard;
 pub mod srs;
 pub mod stream;
 pub mod system;
@@ -96,8 +92,6 @@ pub use error::ErapidError;
 pub use experiment::{trace_meta, RunResult, RunTrace, TraceSource};
 pub use faults::{FaultEvent, FaultKind, FaultPlan};
 pub use metrics::PacketDelivery;
-pub use runner::{
-    parallel_map, parallel_map_prioritized, point_threads_from_env, run_points, Outcome, RunPoint,
-};
+pub use runner::{parallel_map, parallel_map_prioritized, run_points, Outcome, RunPoint};
 pub use stream::{StreamCursor, StreamPaths, StreamSink};
 pub use system::{PhaseTimers, System, WindowFlush};

@@ -5,11 +5,8 @@
 //! its per-node RNG streams (seeded from `cfg.seed`), so runs share no
 //! state and a run's result is byte-identical no matter which thread
 //! executes it. That makes run-level fan-out safe by construction — only
-//! the *scheduling* is concurrent. A second, nested level of parallelism
-//! shards the cycle engine *inside* one point across boards
-//! (`ERAPID_POINT_THREADS`, [`crate::System::run_with`], DESIGN.md §12);
-//! it is deterministic by a two-phase compute/commit barrier rather than
-//! by independence.
+//! the *scheduling* is concurrent. Inside one point the cycle loop,
+//! [`crate::System::run`], runs on the calling thread.
 //!
 //! There is one way to run a point, [`RunPoint::execute`], and one way to
 //! run a batch, [`run_points`]. Both hand back an [`Outcome`]: the
@@ -53,23 +50,6 @@ pub fn threads_from_env() -> NonZeroUsize {
         .and_then(|v| v.trim().parse::<usize>().ok())
         .and_then(NonZeroUsize::new)
         .unwrap_or_else(available_threads)
-}
-
-/// Parses the `ERAPID_POINT_THREADS` env knob — workers *inside* one
-/// simulation point for the board-sharded engine
-/// ([`crate::System::run_with`]). Unset or unparsable mean `1` (the
-/// plain sequential engine: intra-point sharding is opt-in because the
-/// run-level executor usually saturates the machine already); `0` means
-/// "use [`available_threads`]". Results are byte-identical for any value.
-pub fn point_threads_from_env() -> NonZeroUsize {
-    match std::env::var("ERAPID_POINT_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(0) => available_threads(),
-            Ok(n) => NonZeroUsize::new(n).unwrap_or(NonZeroUsize::MIN),
-            Err(_) => NonZeroUsize::MIN,
-        },
-        Err(_) => NonZeroUsize::MIN,
-    }
 }
 
 /// Maps `f` over `items` on up to `threads` worker threads, returning the
@@ -223,12 +203,10 @@ impl RunPoint {
         self.plan.max_cycles as u128 * (self.cfg.boards as u128).pow(2)
     }
 
-    /// Runs this point to completion with its cycle engine sharded across
-    /// boards onto `point_threads` workers (`1` is the plain sequential
-    /// engine). Every field but [`Outcome::wall`] is byte-identical for
-    /// any worker count. Tracing and recording observe the run without
-    /// perturbing it: the [`RunResult`] does not depend on either flag.
-    pub fn execute(self, point_threads: NonZeroUsize) -> Outcome {
+    /// Runs this point to completion. Tracing and recording observe the
+    /// run without perturbing it: the [`RunResult`] does not depend on
+    /// either flag.
+    pub fn execute(self) -> Outcome {
         let start = Instant::now();
         let capacity = self.cfg.capacity().uniform_capacity();
         let (mut sys, load, meta) = match self.source {
@@ -242,7 +220,7 @@ impl RunPoint {
                 (sys, trace.meta.load, trace.meta.clone())
             }
         };
-        let cycles = sys.run_with(point_threads, &mut |_| {});
+        let cycles = sys.run(&mut |_| {});
         let recording = sys.take_injection_log().map(|rec| rec.into_trace(meta));
         let (result, trace) = collect(sys, load, capacity, cycles);
         Outcome {
@@ -289,22 +267,14 @@ fn collect(mut sys: System, load: f64, capacity: f64, cycles: Cycle) -> (RunResu
     (result, trace)
 }
 
-/// Fans a batch of experiment points out over `threads` workers, each
-/// point's cycle engine sharded onto `point_threads` board workers (the
-/// nested point × board budget). Outcomes come back in input order, and
-/// every field but [`Outcome::wall`] is byte-identical to executing each
-/// point on its own, for any `(threads, point_threads)`. Each point
-/// records into its own trace (a [`System`] field, never shared), so
-/// concatenating the per-point traces yields the same bytes for any
-/// thread count.
-pub fn run_points(
-    threads: NonZeroUsize,
-    point_threads: NonZeroUsize,
-    points: Vec<RunPoint>,
-) -> Vec<Outcome> {
-    parallel_map_prioritized(threads, points, RunPoint::estimated_cost, |p: RunPoint| {
-        p.execute(point_threads)
-    })
+/// Fans a batch of experiment points out over `threads` workers.
+/// Outcomes come back in input order, and every field but
+/// [`Outcome::wall`] is byte-identical to executing each point on its
+/// own, for any `threads`. Each point records into its own trace (a
+/// [`System`] field, never shared), so concatenating the per-point traces
+/// yields the same bytes for any thread count.
+pub fn run_points(threads: NonZeroUsize, points: Vec<RunPoint>) -> Vec<Outcome> {
+    parallel_map_prioritized(threads, points, RunPoint::estimated_cost, RunPoint::execute)
 }
 
 #[cfg(test)]
@@ -317,7 +287,7 @@ mod tests {
     fn execute_produces_consistent_result() {
         let cfg = SystemConfig::small(NetworkMode::NpNb);
         let plan = default_plan(cfg.schedule.window);
-        let out = RunPoint::new(cfg, TrafficPattern::Uniform, 0.3, plan).execute(NonZeroUsize::MIN);
+        let out = RunPoint::new(cfg, TrafficPattern::Uniform, 0.3, plan).execute();
         let r = out.result;
         assert!((r.load - 0.3).abs() < 1e-12);
         assert!(r.throughput > 0.0);
@@ -422,7 +392,7 @@ mod tests {
                 RunPoint::new(cfg, TrafficPattern::Uniform, load, plan)
             })
             .to_vec();
-        let out = run_points(available_threads(), NonZeroUsize::MIN, points);
+        let out = run_points(available_threads(), points);
         assert_eq!(out.len(), 2);
         assert!(out[1].result.throughput > out[0].result.throughput);
     }

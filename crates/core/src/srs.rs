@@ -531,41 +531,11 @@ impl Srs {
         }
     }
 
-    /// Captures the raw base pointers the sharded engine slices per-lane
-    /// views from. The channel bank and its busy-span companions are dense
-    /// `(s·B + d)·W + w` arrays, so source board `s` owns the contiguous
-    /// block `[s·B·W, (s+1)·B·W)` of every one of them — a worker holding
-    /// lane `s` never aliases lane `s'`. All the backing vectors are
-    /// fixed-capacity after construction within one cycle's compute phase
-    /// (`owned`'s *inner* vectors and `failed_tx` mutate only in the
-    /// sequential phases), so pointers captured at the top of a cycle stay
-    /// valid through it.
-    ///
-    /// Safety contract (upheld by `System::step_inner`'s gate branch):
-    /// between capturing parts and the commit barrier, nothing touches the
-    /// SRS through `&mut self`, and each lane index is materialized by at
-    /// most one worker. The safe twin is [`Srs::lane`].
-    pub(crate) fn shard_parts(&mut self) -> SrsShardParts {
-        SrsShardParts {
-            channels: self.channels.as_mut_ptr(),
-            win_busy: self.win_busy.as_mut_ptr(),
-            busy_open: self.busy_open.as_mut_ptr(),
-            busy_start: self.busy_start.as_mut_ptr(),
-            busy_cap: self.busy_cap.as_mut_ptr(),
-            pending_retune: self.pending_retune.as_ptr(),
-            owned: self.owned.as_ptr(),
-            failed_tx: self.failed_tx.as_ptr(),
-            failed_tx_len: self.failed_tx.len(),
-            boards: self.boards,
-            wavelengths: self.wavelengths,
-        }
-    }
-
     /// Applies one board's buffered publish-remote effects in departure
     /// order: wake-queue entries and fiber arrivals insert in the sequence
     /// the lane produced them (each [`BinaryHeapQueue`] breaks time ties by
     /// insertion sequence, so committing lanes in ascending board order
-    /// fixes the pop order whatever scheduler ran them), and the power
+    /// fixes the pop order), and the power
     /// cache is invalidated iff the lane lit a laser.
     pub(crate) fn commit_lane_effects(&mut self, fx: &LaneEffects) {
         for &(until, i) in &fx.wakes {
@@ -1063,47 +1033,6 @@ impl Srs {
     }
 }
 
-/// Raw base pointers over the SRS's source-sharded dense arrays plus the
-/// read-only shared state the transmit path consults. Captured once per
-/// cycle by [`Srs::shard_parts`]; each worker derives its disjoint
-/// [`SrsLane`] from these. Plain data — `Send`-ness is asserted by the
-/// shard context that carries it (`system::shard`).
-#[derive(Clone, Copy)]
-pub(crate) struct SrsShardParts {
-    channels: *mut OpticalChannel,
-    win_busy: *mut Cycle,
-    busy_open: *mut bool,
-    busy_start: *mut Cycle,
-    busy_cap: *mut Cycle,
-    pending_retune: *const Option<(RateLevel, Cycle)>,
-    owned: *const Vec<u16>,
-    failed_tx: *const (u16, u16),
-    failed_tx_len: usize,
-    boards: u16,
-    wavelengths: u16,
-}
-
-#[cfg(test)]
-impl SrsShardParts {
-    /// A zero-board parts bundle for gate-protocol tests that never
-    /// materialize a lane.
-    pub(crate) fn dangling() -> Self {
-        Self {
-            channels: std::ptr::NonNull::dangling().as_ptr(),
-            win_busy: std::ptr::NonNull::dangling().as_ptr(),
-            busy_open: std::ptr::NonNull::dangling().as_ptr(),
-            busy_start: std::ptr::NonNull::dangling().as_ptr(),
-            busy_cap: std::ptr::NonNull::dangling().as_ptr(),
-            pending_retune: std::ptr::NonNull::dangling().as_ptr(),
-            owned: std::ptr::NonNull::dangling().as_ptr(),
-            failed_tx: std::ptr::NonNull::dangling().as_ptr(),
-            failed_tx_len: 0,
-            boards: 0,
-            wavelengths: 0,
-        }
-    }
-}
-
 /// The publish-remote half of a lane's transmit work: everything
 /// [`SrsLane::try_transmit`] pushes toward *shared* SRS state, buffered per
 /// source board and applied in canonical board order by
@@ -1131,9 +1060,8 @@ impl LaneEffects {
 /// One source board's mutable window into the SRS: the `B·W` contiguous
 /// block of channel/busy-span state that board `s` alone serializes onto,
 /// plus shared read-only views (ownership mirror, failed transmitters,
-/// pending retunes). Built safely by [`Srs::lane`], or by a board worker
-/// from captured parts ([`SrsLane::from_parts`]); either way the transmit
-/// routes its shared-queue pushes into a [`LaneEffects`] buffer.
+/// pending retunes). Built by [`Srs::lane`]; the transmit routes its
+/// shared-queue pushes into a [`LaneEffects`] buffer.
 pub(crate) struct SrsLane<'a> {
     s: u16,
     wavelengths: u16,
@@ -1152,38 +1080,6 @@ pub(crate) struct SrsLane<'a> {
 }
 
 impl<'a> SrsLane<'a> {
-    /// Materializes lane `s` from captured base pointers.
-    ///
-    /// # Safety
-    /// `parts` must come from a live [`Srs`] whose backing storage has not
-    /// been touched through `&mut Srs` since capture, and no other lane
-    /// view for the same `s` may exist for `'a`. Disjointness across
-    /// different `s` is guaranteed by the dense layout.
-    #[allow(unsafe_code)]
-    pub(crate) unsafe fn from_parts(parts: &SrsShardParts, s: u16) -> Self {
-        let b = parts.boards as usize;
-        let bw = b * parts.wavelengths as usize;
-        let base = s as usize * bw;
-        // SAFETY: each lane addresses its own `[base, base + bw)` block of
-        // the `B²·W`-sized arrays and the `[s·B, (s+1)·B)` block of the
-        // `B²`-sized flow table; the caller guarantees exclusivity.
-        unsafe {
-            Self {
-                s,
-                wavelengths: parts.wavelengths,
-                base,
-                channels: std::slice::from_raw_parts_mut(parts.channels.add(base), bw),
-                win_busy: std::slice::from_raw_parts_mut(parts.win_busy.add(base), bw),
-                busy_open: std::slice::from_raw_parts_mut(parts.busy_open.add(base), bw),
-                busy_start: std::slice::from_raw_parts_mut(parts.busy_start.add(base), bw),
-                busy_cap: std::slice::from_raw_parts_mut(parts.busy_cap.add(base), bw),
-                pending_retune: std::slice::from_raw_parts(parts.pending_retune.add(base), bw),
-                owned: std::slice::from_raw_parts(parts.owned.add(s as usize * b), b),
-                failed_tx: std::slice::from_raw_parts(parts.failed_tx, parts.failed_tx_len),
-            }
-        }
-    }
-
     /// Lane-local dense index of `(d, w)` — [`Srs::idx`] minus `base`.
     fn li(&self, d: u16, w: u16) -> usize {
         d as usize * self.wavelengths as usize + w as usize

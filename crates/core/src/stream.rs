@@ -236,17 +236,15 @@ impl StreamSink {
 
 /// Drives a run with streaming export and optional checkpointing: at
 /// every `R_w` boundary the hook drains one window into `sink`, then (if
-/// due) snapshots the quiescent system with the post-flush cursor. Covers
-/// both engines — `point_threads` of 1 is the sequential loop, more is
-/// the board-sharded engine — with byte-identical output. After the run,
-/// the post-last-boundary tail is flushed; the caller finalizes the sink.
+/// due) snapshots the quiescent system with the post-flush cursor. After
+/// the run, the post-last-boundary tail is flushed; the caller finalizes
+/// the sink.
 ///
 /// A sink or checkpoint I/O error stops all further streaming (the run
 /// itself completes — simulation state never depends on export I/O) and
 /// is returned at the end.
 pub fn run_streaming(
     sys: &mut crate::system::System,
-    point_threads: std::num::NonZeroUsize,
     sink: &mut StreamSink,
     mut ckpt: Option<&mut crate::checkpoint::Checkpointer>,
 ) -> io::Result<desim::Cycle> {
@@ -254,7 +252,7 @@ pub fn run_streaming(
     let counters = sys.metric_counter_names();
     let gauges = sys.metric_gauge_names();
     let mut failed: Option<io::Error> = None;
-    let end = sys.run_with(point_threads, &mut |s| {
+    let end = sys.run(&mut |s| {
         let now = s.now();
         if failed.is_some() || now == 0 || !now.is_multiple_of(window) {
             return;

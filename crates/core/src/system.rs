@@ -13,12 +13,11 @@
 //! 6. the SRS settles channel state and the power meter samples the
 //!    instantaneous link power.
 
-use crate::board::Board;
+use crate::board::{Board, Delivered};
 use crate::config::{ControlPlane, NetworkMode, SystemConfig};
 use crate::faults::FaultKind;
 use crate::metrics::{PacketDelivery, RunMetrics};
-use crate::shard::{route_board, transmit_lane, BoardOut, Gate, ShardCtx};
-use crate::srs::Srs;
+use crate::srs::{LaneEffects, Srs, SrsLane};
 use desim::phase::{Phase, PhasePlan};
 use desim::Cycle;
 use erapid_telemetry::{
@@ -99,9 +98,8 @@ pub struct System {
     /// equal value is a state-free no-op, so skipping it is identical.
     watch_pending: Vec<bool>,
     /// Online threshold auto-tuner (None unless `cfg.tune` is set in a
-    /// power-aware mode). Stepped at Power-kind `R_w` boundaries inside
-    /// the *sequential prologue*, so the board-sharded engine stays
-    /// byte-identical (DESIGN.md §15).
+    /// power-aware mode). Stepped at Power-kind `R_w` boundaries in the
+    /// cycle's prologue, before any board is stepped (DESIGN.md §15).
     controller: Option<ThresholdController>,
 }
 
@@ -113,10 +111,10 @@ pub struct PhaseTimers {
     pub reconfig: std::time::Duration,
     /// Traffic generation / trace replay.
     pub inject: std::time::Duration,
-    /// Electrical domain: IBI router stepping (`shard::route_board` per
+    /// Electrical domain: IBI router stepping (`Board::step_into` per
     /// board) + the delivery commit.
     pub route: std::time::Duration,
-    /// Optical domain: lane transmits (`shard::transmit_lane` per board) +
+    /// Optical domain: lane transmits (`transmit_lane` per board) +
     /// the lane commit, arrivals into receivers, SRS housekeeping.
     pub optical: std::time::Duration,
     /// Power sampling + metric recording.
@@ -205,6 +203,43 @@ fn stage_label(stage: Stage) -> LsStageLabel {
         Stage::Reconfigure => LsStageLabel::Reconfigure,
         Stage::BoardResponse => LsStageLabel::BoardResponse,
         Stage::LinkResponse => LsStageLabel::LinkResponse,
+    }
+}
+
+/// One board's buffered cross-board effects for one cycle, in board-local
+/// order. The router step and [`transmit_lane`] append; the commits
+/// (`System::commit_deliveries`, `System::commit_lanes`) apply and clear,
+/// so the buffers are reused every cycle (steady-state allocation-free).
+#[derive(Debug, Default)]
+struct BoardOut {
+    /// Packets delivered to this board's nodes this cycle.
+    delivered: Vec<Delivered>,
+    /// SRS publish-remote effects of this board's lane transmit; its
+    /// arrivals, in departure order, also carry the departed packets'
+    /// labelled TX stats.
+    fx: LaneEffects,
+    /// Snapshot of the board's ready destinations (the active set mutates
+    /// as packets depart, so the scan iterates a copy).
+    ready: Vec<u16>,
+}
+
+/// Moves `board`'s ready TX-queue packets onto free owned channels of its
+/// SRS `lane`. Only destinations with a completed packet are visited (the
+/// board's ready-destination set, in ascending order); each queue drains
+/// until its head finds no free channel. Shared effects land in `out`.
+fn transmit_lane(board: &mut Board, mut lane: SrsLane<'_>, out: &mut BoardOut, now: Cycle) {
+    out.ready.clear();
+    out.ready.extend_from_slice(board.ready_dests());
+    for &d in &out.ready {
+        while let Some(pkt) = board.tx_queue(d).peek().copied() {
+            if !lane.try_transmit(now, d, pkt, &mut out.fx) {
+                break;
+            }
+            let Some(departed) = board.tx_depart(now, d) else {
+                break; // unreachable: the queue head was just peeked
+            };
+            debug_assert_eq!(departed.id, pkt.id);
+        }
     }
 }
 
@@ -335,13 +370,13 @@ impl System {
 
     /// Advances one cycle.
     pub fn step(&mut self) {
-        self.step_inner(true, &mut NullProbe, None);
+        self.step_inner(true, &mut NullProbe);
     }
 
     /// Advances one cycle with the traffic sources silenced — used to
     /// drain the network completely (conservation checks, clean shutdown).
     pub fn step_without_injection(&mut self) {
-        self.step_inner(false, &mut NullProbe, None);
+        self.step_inner(false, &mut NullProbe);
     }
 
     /// Advances one cycle, attributing wall time per engine phase into
@@ -351,15 +386,16 @@ impl System {
             timers,
             mark: std::time::Instant::now(),
         };
-        self.step_inner(true, &mut probe, None);
+        self.step_inner(true, &mut probe);
     }
 
-    /// One cycle. The hot half is `shard`'s compute/commit functions under
-    /// one of two schedulers: with no `gate`, this thread runs every
-    /// `route_board`, then every `transmit_lane`; with a gate, board
-    /// workers run both fused per board. Either way the commits apply the
-    /// out-buffers in ascending board order, so the two are byte-identical.
-    fn step_inner<P: PhaseProbe>(&mut self, inject: bool, probe: &mut P, gate: Option<&Gate>) {
+    /// One cycle. The hot half is a compute/commit pair per domain: every
+    /// board's router step, then the delivery commit; every board's lane
+    /// transmit ([`transmit_lane`]), then the lane commit. Compute touches
+    /// only its own board and SRS lane and buffers every shared effect in
+    /// that board's [`BoardOut`]; the commits apply the buffers in
+    /// ascending board order (DESIGN.md §12).
+    fn step_inner<P: PhaseProbe>(&mut self, inject: bool, probe: &mut P) {
         let now = self.now;
         probe.start();
         self.apply_due_faults(now);
@@ -371,32 +407,16 @@ impl System {
             self.inject(now);
         }
         probe.lap(|t| &mut t.inject);
-        match gate {
-            // Fresh disjoint views over the boards and SRS lanes, published
-            // to the workers for this cycle only. `self` is untouched until
-            // `run_epoch` returns (the commit barrier).
-            Some(gate) => gate.run_epoch(ShardCtx {
-                now,
-                boards: self.boards.as_mut_ptr(),
-                outs: self.outs.as_mut_ptr(),
-                nboards: self.outs.len(),
-                srs: self.srs.shard_parts(),
-            }),
-            None => {
-                for (board, out) in self.boards.iter_mut().zip(&mut self.outs) {
-                    route_board(board, out, now);
-                }
-            }
+        for (board, out) in self.boards.iter_mut().zip(&mut self.outs) {
+            board.step_into(now, &mut out.delivered);
         }
         self.commit_deliveries(now);
         probe.lap(|t| &mut t.route);
-        if gate.is_none() {
-            for (s, (board, out)) in self.boards.iter_mut().zip(&mut self.outs).enumerate() {
-                // Most boards have nothing ready most cycles: skip building
-                // their lane.
-                if !board.ready_dests().is_empty() {
-                    transmit_lane(board, self.srs.lane(s as u16), out, now);
-                }
+        for (s, (board, out)) in self.boards.iter_mut().zip(&mut self.outs).enumerate() {
+            // Most boards have nothing ready most cycles: skip building
+            // their lane.
+            if !board.ready_dests().is_empty() {
+                transmit_lane(board, self.srs.lane(s as u16), out, now);
             }
         }
         self.commit_lanes(now);
@@ -444,9 +464,8 @@ impl System {
 
     /// Commit pass B: every lane's wake/arrival inserts and power-cache
     /// invalidation, then the TX stats of its labelled departures (which
-    /// left at `now`), in ascending board order. Identical push order on
-    /// every f64 accumulator and identical heap insertion sequence ⇒
-    /// bit-identical results for either scheduler.
+    /// left at `now`), in ascending board order, so every f64 accumulator
+    /// and heap sees one fixed push sequence.
     fn commit_lanes(&mut self, now: Cycle) {
         for out in &mut self.outs {
             // Every lane effect comes from a departure: no arrivals, no
@@ -503,9 +522,8 @@ impl System {
         match self.cfg.schedule.kind_at(now) {
             Some(WindowKind::Power) if self.cfg.mode.power_aware() => {
                 // The controller steps first so the thresholds it derives
-                // from the just-closed window govern this Power cycle. Both
-                // calls sit in the sequential prologue of either engine, so
-                // the sharded run replays them identically (DESIGN.md §15).
+                // from the just-closed window govern this Power cycle
+                // (DESIGN.md §15).
                 self.controller_cycle();
                 self.power_cycle(now);
             }
@@ -574,7 +592,7 @@ impl System {
     }
 
     /// The live auto-tuning controller, when enabled (inspection: tests
-    /// pin its thresholds/moves across engines and checkpoint legs).
+    /// pin its thresholds/moves across checkpoint legs).
     pub fn controller(&self) -> Option<&ThresholdController> {
         self.controller.as_ref()
     }
@@ -1402,36 +1420,24 @@ impl System {
     /// `now`, pre-boundary state), which is what checkpointing and
     /// streaming export need: a hook at cycle `t = k·R_w` captures the
     /// state an uninterrupted run has when entering that boundary cycle.
-    ///
-    /// With `point_threads > 1` the per-cycle hot path (router steps +
-    /// lane transmits) is sharded across boards onto up to that many
-    /// worker threads (clamped to the board count). The run is
-    /// **byte-identical** for any worker count: the compute functions only
-    /// touch disjoint per-board/per-lane state, and the same commit applies
-    /// every shared side effect in ascending board order (see
-    /// `crate::shard` and DESIGN.md §12).
+    pub fn run<F: FnMut(&mut System)>(&mut self, hook: &mut F) -> Cycle {
+        let plan = self.metrics.plan;
+        while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
+            hook(self);
+            self.step();
+        }
+        self.now
+    }
+
+    /// [`System::run`] under its former name, kept for callers built
+    /// against it (the `perfbench/` harness); the worker count is ignored.
+    #[doc(hidden)]
     pub fn run_with<F: FnMut(&mut System)>(
         &mut self,
-        point_threads: std::num::NonZeroUsize,
+        _workers: std::num::NonZeroUsize,
         hook: &mut F,
     ) -> Cycle {
-        let workers = point_threads.get().min(self.cfg.boards as usize);
-        let plan = self.metrics.plan;
-        let gate = Gate::new();
-        std::thread::scope(|scope| {
-            // The calling thread participates, so spawn `workers - 1`.
-            for _ in 1..workers {
-                let gate = &gate;
-                scope.spawn(move || crate::shard::worker(gate));
-            }
-            let sharded = (workers > 1).then_some(&gate);
-            while self.now < plan.max_cycles && !self.metrics.tracker.complete(&plan, self.now) {
-                hook(self);
-                self.step_inner(true, &mut NullProbe, sharded);
-            }
-            gate.halt();
-        });
-        self.now
+        self.run(hook)
     }
 
     /// Drains one window's worth of streamable output: recorded trace
@@ -1479,9 +1485,9 @@ mod tests {
     use super::*;
     use crate::config::NetworkMode;
 
-    /// Runs `sys` to the end of its plan on the sequential engine.
+    /// Runs `sys` to the end of its plan.
     fn finish(sys: &mut System) {
-        sys.run_with(std::num::NonZeroUsize::MIN, &mut |_| {});
+        sys.run(&mut |_| {});
     }
 
     fn plan() -> PhasePlan {
@@ -1601,7 +1607,7 @@ mod tests {
     fn message_level_control_plane_matches_analytic_shortcut() {
         // The same run under both control planes must make identical
         // decisions at identical times — identical metrics throughout.
-        let run_with = |plane: crate::config::ControlPlane| {
+        let run_plane = |plane: crate::config::ControlPlane| {
             let mut cfg = SystemConfig::small(NetworkMode::PB);
             cfg.control_plane = plane;
             let mut sys = System::new(cfg, TrafficPattern::Complement, 0.6, plan());
@@ -1615,8 +1621,8 @@ mod tests {
                 sys.now(),
             )
         };
-        let analytic = run_with(crate::config::ControlPlane::AnalyticLatency);
-        let message = run_with(crate::config::ControlPlane::MessageLevel);
+        let analytic = run_plane(crate::config::ControlPlane::AnalyticLatency);
+        let message = run_plane(crate::config::ControlPlane::MessageLevel);
         assert_eq!(analytic, message);
         // And reconfiguration genuinely happened in both.
         assert!(analytic.4 .0 > 0, "grants expected under complement");

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # desim — a discrete-event simulation engine
 //!
 //! This crate is the substrate the original E-RAPID paper obtained from

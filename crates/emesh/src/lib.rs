@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # emesh — the electrical baseline network
 //!
 //! The paper evaluates E-RAPID against "other electrical networks" (§4.1).

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![deny(clippy::perf)]
 //! # photonics — the optical substrate of E-RAPID
 //!

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # powermgmt — Dynamic Power Management (DPM) for E-RAPID links
 //!
 //! Implements §3.1 of the paper:

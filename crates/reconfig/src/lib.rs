@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 //! # reconfig — the Lock-Step (LS) reconfiguration protocol of E-RAPID
 //!

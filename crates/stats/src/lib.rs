@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # netstats — measurement substrate for the E-RAPID reproduction
 //!
 //! Everything the evaluation section of the paper measures flows through this

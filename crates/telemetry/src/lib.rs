@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Deterministic cycle-level telemetry for the E-RAPID simulator.
 //!
 //! The paper's argument is about *when* things happen: DPM rate/voltage

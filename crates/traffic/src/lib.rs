@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # traffic — synthetic workloads for the E-RAPID evaluation
 //!
 //! §4 of the paper: "Packets were injected according to Bernoulli process

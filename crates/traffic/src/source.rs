@@ -23,8 +23,8 @@ use desim::Cycle;
 /// * The emission stream must be a pure function of construction inputs:
 ///   two sources built from the same inputs and polled over the same
 ///   cycles produce identical streams. This is what makes scenario runs
-///   byte-identical across the sequential, parallel-across-points and
-///   board-sharded engines, where injection is always a sequential phase.
+///   byte-identical whether run alone or fanned out across points, with
+///   injection a prologue phase of every cycle.
 /// * `save_state`/`load_state` serialize exactly the mutable state (RNG
 ///   positions, phase counters) so a checkpointed run resumes the stream
 ///   without divergence; configuration-derived tables are rebuilt by the

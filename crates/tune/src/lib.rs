@@ -16,14 +16,15 @@
 //! * **Online** ([`controller`]): a deterministic windowed controller that
 //!   nudges the live DPM thresholds at `R_w` boundaries from the just-closed
 //!   window's link/buffer counters. All state is integer milli-units, so its
-//!   decisions are bit-exact across the sequential and board-sharded engines
-//!   and across checkpoint/resume (DESIGN.md §15).
+//!   decisions are bit-exact across reruns, the run-level pool and
+//!   checkpoint/resume (DESIGN.md §15).
 //!
 //! Everything here is a pure function of its inputs — no clocks, no
 //! ambient RNG, no filesystem — which is what the determinism-first test
 //! tier (props/golden/checkpoint) pins.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![forbid(unsafe_code)]
 
 pub mod controller;
 pub mod error;

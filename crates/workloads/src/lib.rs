@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # erapid-workloads — production-shaped workloads for E-RAPID
 //!
 //! The paper evaluates E-RAPID only on synthetic uniform / permutation
@@ -26,9 +27,9 @@
 //! diurnal phase, storm victim, collective step) is an integer function of
 //! the current cycle — never of global mutable state. Emission order is
 //! therefore monotone in cycle and ascending in source within a cycle,
-//! exactly the `.ertr` recorder's ordering contract, and identical under
-//! the sequential, parallel-across-points and board-sharded engines
-//! (injection is a sequential phase in all three).
+//! exactly the `.ertr` recorder's ordering contract, and identical whether
+//! a point runs alone or fanned out across points (injection is a
+//! prologue phase of every cycle).
 
 pub mod engine;
 pub mod ingest;

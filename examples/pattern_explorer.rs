@@ -12,7 +12,6 @@ use erapid_suite::erapid_core::experiment::default_plan;
 use erapid_suite::erapid_core::runner::RunPoint;
 use erapid_suite::netstats::table::Table;
 use erapid_suite::traffic::pattern::TrafficPattern;
-use std::num::NonZeroUsize;
 
 /// Board-pair demand matrix of a pattern on the 64-node system: how many
 /// of board `s`'s nodes send to board `d` (sampled for random patterns).
@@ -76,7 +75,7 @@ fn main() {
         let cfg = SystemConfig::paper64(NetworkMode::PB);
         let plan = default_plan(cfg.schedule.window);
         let r = RunPoint::new(cfg, pattern.clone(), load, plan)
-            .execute(NonZeroUsize::MIN)
+            .execute()
             .result;
         t.row(vec![
             name.to_string(),

@@ -18,7 +18,6 @@ use erapid_suite::photonics::bitrate::RateLadder;
 use erapid_suite::photonics::power::LinkPowerModel;
 use erapid_suite::powermgmt::policy::DpmPolicy;
 use erapid_suite::traffic::pattern::TrafficPattern;
-use std::num::NonZeroUsize;
 
 fn main() {
     let load = 0.4;
@@ -45,7 +44,7 @@ fn main() {
         cfg.dpm_override = Some(DpmPolicy::new(l_min, l_max, b_max));
         let plan = default_plan(cfg.schedule.window);
         let r = RunPoint::new(cfg, TrafficPattern::Uniform, load, plan)
-            .execute(NonZeroUsize::MIN)
+            .execute()
             .result;
         t.row(vec![
             format!("{l_min}"),

@@ -17,6 +17,14 @@ cargo clippy --workspace --all-targets --release -- -D warnings
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== perfbench build (the benchmark harness, its own workspace) =="
+# perfbench/ drives the simulator through System::{new, step,
+# step_profiled, run_with} and checkpoint::{encode_snapshot,
+# restore_system}; a change to that seam must fail here, not first in the
+# benchmark run.
+CARGO_TARGET_DIR=target/perfbench \
+    cargo build --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test -q =="
 cargo test -q --workspace
 
@@ -25,15 +33,6 @@ echo "== arbiter equivalence smoke (word-parallel vs slice oracles, release) =="
 # position-identical to the retained slice-based oracle implementations;
 # the property suite drives both through randomized grant histories.
 cargo test -q --release -p router --test arbiter_props
-
-echo "== determinism suite under board sharding (2 and 8 point workers) =="
-# The sharded cycle engine (DESIGN.md §12) must stay byte-identical to the
-# sequential one at any worker count — rerun the determinism suite (and,
-# at 2 workers, the golden engine pins, exercising the bitset router's
-# grant/stall/traversal order under sharding) with the env knob forcing
-# every sharded code path through 2 and then 8 workers.
-ERAPID_POINT_THREADS=2 cargo test -q --release --test determinism --test golden_engine
-ERAPID_POINT_THREADS=8 cargo test -q --release --test determinism
 
 echo "== perf smoke (reduced grid vs committed BENCH baseline) =="
 if [ "${ERAPID_SKIP_PERF_SMOKE:-0}" = "1" ]; then
@@ -45,18 +44,18 @@ else
     cargo run --release -q -p erapid-bench --bin perfreport -- --smoke
 fi
 
-echo "== scenarios smoke (workload generators: seq == sharded == fanned) =="
-# One small P-B point per scenario through all three engines; the bin
-# exits nonzero when delivery is zero or any engine pair diverges.
+echo "== scenarios smoke (workload generators: seq == fanned) =="
+# One small P-B point per scenario, run alone and through the run-level
+# pool; the bin exits nonzero when delivery is zero or the two diverge.
 cargo run --release -q -p erapid-bench --bin scenarios -- --smoke
 
-echo "== autotune smoke (sweep: seq == sharded, chosen beats paper baseline) =="
+echo "== autotune smoke (sweep: seq == fanned, chosen beats paper baseline) =="
 if [ "${ERAPID_SKIP_TUNE_SMOKE:-0}" = "1" ]; then
     echo "autotune smoke: skipped (ERAPID_SKIP_TUNE_SMOKE=1)"
 else
     # The smoke grid on two hostile scenarios (small P-B system): every
     # operating point and the controller-enabled leg must be byte-identical
-    # sequential vs board-sharded, and the chosen point must beat the
+    # sequential vs run-level-fanned, and the chosen point must beat the
     # paper-constant baseline objective on >=1 scenario (DESIGN.md §15).
     cargo run --release -q -p erapid-bench --bin autotune -- --smoke
 fi
@@ -117,10 +116,8 @@ trap 'rm -rf "$trace_dir" "$replay_dir" "$marathon_dir"' EXIT
 # The bin aborts itself mid-run (SIGABRT), resumes from the newest
 # checkpoint, and asserts zero byte divergence from the uninterrupted run
 # plus a peak-RSS ceiling — a nonzero exit here means the crash-safety
-# contract broke. Run it through both engines.
+# contract broke.
 ERAPID_QUICK=1 ERAPID_RESULTS="$marathon_dir" \
-    cargo run --release -q -p erapid-bench --bin marathon > /dev/null
-ERAPID_QUICK=1 ERAPID_RESULTS="$marathon_dir" ERAPID_POINT_THREADS=2 \
     cargo run --release -q -p erapid-bench --bin marathon > /dev/null
 mreport=$(ls "$marathon_dir"/MARATHON_*.json 2> /dev/null | head -1)
 test -n "$mreport" && test -s "$mreport" || { echo "marathon smoke: missing MARATHON_<sha>.json"; exit 1; }

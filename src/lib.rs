@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Root crate of the E-RAPID reproduction workspace.
 //!
 //! `erapid-suite` hosts the workspace-spanning integration tests (`tests/`)

@@ -19,7 +19,6 @@ use erapid_suite::erapid_tune::{choose, pareto_front, OperatingPoint, SweepOutco
 use erapid_suite::erapid_workloads::ScenarioSpec;
 use erapid_suite::reconfig::lockstep::LockStepSchedule;
 use erapid_suite::traffic::pattern::TrafficPattern;
-use std::num::NonZeroUsize;
 
 /// Two measured windows and a drain cap: long enough for several DPM
 /// windows so the joined `dpm_retunes` column is non-trivial.
@@ -37,8 +36,7 @@ fn sweep_once(op: OperatingPoint) -> SweepOutcome {
     cfg.dpm_override = Some(op.dpm_policy());
     cfg.alloc.b_max = op.b_max_milli as f64 / 1000.0;
     cfg.schedule = LockStepSchedule::new(op.r_w);
-    let out =
-        RunPoint::new(cfg, TrafficPattern::Uniform, 0.6, sweep_plan()).execute(NonZeroUsize::MIN);
+    let out = RunPoint::new(cfg, TrafficPattern::Uniform, 0.6, sweep_plan()).execute();
     let (r, trace) = (out.result, out.trace);
     SweepOutcome::join(
         op,

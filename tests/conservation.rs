@@ -7,7 +7,6 @@ use erapid_suite::desim::rng::Pcg32;
 use erapid_suite::erapid_core::config::{BurstSpec, NetworkMode, SystemConfig};
 use erapid_suite::erapid_core::system::System;
 use erapid_suite::traffic::pattern::TrafficPattern;
-use std::num::NonZeroUsize;
 
 fn plan() -> PhasePlan {
     PhasePlan::new(2000, 4000).with_max_cycles(60_000)
@@ -16,7 +15,7 @@ fn plan() -> PhasePlan {
 /// Runs and checks delivered ≤ injected always, and delivered == injected
 /// once fully drained.
 fn check_conservation(mut sys: System, expect_drain: bool) {
-    sys.run_with(NonZeroUsize::MIN, &mut |_| {});
+    sys.run(&mut |_| {});
     let m = sys.metrics();
     assert!(
         m.delivered_total <= m.injected_total,
@@ -101,7 +100,7 @@ fn conservation_random_configs() {
         cfg.schedule = erapid_suite::reconfig::lockstep::LockStepSchedule::new(window);
         let short = PhasePlan::new(window, 2 * window).with_max_cycles(20 * window);
         let mut sys = System::new(cfg, pattern, load, short);
-        sys.run_with(NonZeroUsize::MIN, &mut |_| {});
+        sys.run(&mut |_| {});
         let m = sys.metrics();
         assert!(
             m.delivered_total <= m.injected_total,

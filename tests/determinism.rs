@@ -5,7 +5,7 @@
 use erapid_suite::desim::phase::PhasePlan;
 use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_suite::erapid_core::experiment::RunResult;
-use erapid_suite::erapid_core::runner::{point_threads_from_env, run_points, Outcome, RunPoint};
+use erapid_suite::erapid_core::runner::{run_points, Outcome, RunPoint};
 use erapid_suite::erapid_core::system::System;
 use erapid_suite::erapid_telemetry::TraceConfig;
 use erapid_suite::traffic::pattern::TrafficPattern;
@@ -21,7 +21,7 @@ fn run_with_seed(seed: u64, mode: NetworkMode) -> (u64, u64, f64, f64, u64) {
     let mut cfg = SystemConfig::small(mode);
     cfg.seed = seed;
     let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.4, plan());
-    let end = sys.run_with(NonZeroUsize::MIN, &mut |_| {});
+    let end = sys.run(&mut |_| {});
     let m = sys.metrics();
     (
         m.injected_total,
@@ -125,7 +125,7 @@ fn same_seed_and_fault_plan_reproduce_the_run_exactly() {
         cfg.faults = faults.clone();
         let run = |cfg| {
             RunPoint::new(cfg, TrafficPattern::Complement, 0.4, plan())
-                .execute(NonZeroUsize::MIN)
+                .execute()
                 .result
         };
         let a = run(cfg.clone());
@@ -152,8 +152,8 @@ fn parallel_sweep_identical_to_sequential() {
                 .collect()
         };
         let one = NonZeroUsize::MIN;
-        let seq = run_points(one, one, points());
-        let par = run_points(NonZeroUsize::new(4).unwrap(), one, points());
+        let seq = run_points(one, points());
+        let par = run_points(NonZeroUsize::new(4).unwrap(), points());
         assert_eq!(seq.len(), par.len());
         for (s, p) in seq.iter().zip(&par) {
             // Full-struct equality: every field of every RunResult.
@@ -185,8 +185,8 @@ fn parallel_sweep_identical_to_sequential_under_faults() {
             .collect()
     };
     let one = NonZeroUsize::MIN;
-    let seq = run_points(one, one, points(()));
-    let par = run_points(NonZeroUsize::new(4).unwrap(), one, points(()));
+    let seq = run_points(one, points(()));
+    let par = run_points(NonZeroUsize::new(4).unwrap(), points(()));
     assert_eq!(seq.len(), par.len());
     for (s, p) in seq.iter().zip(&par) {
         assert_eq!(
@@ -254,100 +254,13 @@ fn board_step_buffer_reuse_conserves_deliveries() {
 }
 
 #[test]
-fn sharded_run_identical_to_sequential_across_worker_counts() {
-    // The board-sharded engine must be invisible in every observable:
-    // RunResult (all f64s bit-compared via PartialEq), the telemetry
-    // event stream, the per-window metric snapshots and the per-packet
-    // delivery log, for any worker count (including more workers than
-    // boards and more workers than cores).
-    for mode in NetworkMode::all() {
-        let mk = || {
-            let mut cfg = SystemConfig::small(mode);
-            cfg.seed = 23;
-            cfg.packet_log = true;
-            cfg.trace = TraceConfig::with_capacity(1 << 18);
-            cfg
-        };
-        let point = || RunPoint::new(mk(), TrafficPattern::Complement, 0.6, plan());
-        let seq = point().execute(NonZeroUsize::MIN);
-        let (seq, seq_trace) = (seq.result, seq.trace);
-        for workers in [2usize, 4, 8] {
-            let shard = point().execute(NonZeroUsize::new(workers).unwrap());
-            let (shard, shard_trace) = (shard.result, shard.trace);
-            assert_eq!(
-                seq, shard,
-                "mode {mode:?}: RunResult diverged at {workers} workers"
-            );
-            assert_eq!(
-                seq_trace.records, shard_trace.records,
-                "mode {mode:?}: telemetry event stream diverged at {workers} workers"
-            );
-            assert_eq!(
-                seq_trace.windows, shard_trace.windows,
-                "mode {mode:?}: metric windows diverged at {workers} workers"
-            );
-            assert_eq!(
-                seq_trace.packets, shard_trace.packets,
-                "mode {mode:?}: packet log diverged at {workers} workers"
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_run_identical_under_faults() {
-    // Fault application stays a sequential phase, so a scheduled outage /
-    // relock storm must not open any worker-count dependence.
-    use erapid_suite::erapid_core::faults::FaultPlan;
-    for mode in [NetworkMode::NpB, NetworkMode::PB] {
-        let mk = || {
-            let mut cfg = SystemConfig::small(mode);
-            cfg.seed = 17;
-            cfg.faults = FaultPlan::relock_storm(9, cfg.boards, 2500, 5500, 6, 300)
-                .receiver_outage(3, 1, 3000, 6000);
-            cfg
-        };
-        let run = |workers| {
-            RunPoint::new(mk(), TrafficPattern::Complement, 0.5, plan())
-                .execute(NonZeroUsize::new(workers).unwrap())
-                .result
-        };
-        let seq = run(1);
-        for workers in [2usize, 8] {
-            let shard = run(workers);
-            assert_eq!(
-                seq, shard,
-                "mode {mode:?}: faulted run diverged at {workers} workers"
-            );
-        }
-    }
-}
-
-#[test]
-fn sharded_run_identical_at_env_point_workers() {
-    // `verify.sh` reruns this suite with ERAPID_POINT_THREADS=2 and =8;
-    // this test picks the knob up so the whole determinism file exercises
-    // the sharded engine at the CI-chosen worker counts. Without the env
-    // var it degenerates to the (still asserted) 1-worker fallback path.
-    let workers = point_threads_from_env();
-    let point = || {
-        let mut cfg = SystemConfig::small(NetworkMode::PB);
-        cfg.seed = 29;
-        RunPoint::new(cfg, TrafficPattern::Uniform, 0.4, plan())
-    };
-    let seq = point().execute(NonZeroUsize::MIN).result;
-    let shard = point().execute(workers).result;
-    assert_eq!(seq, shard, "sharded run diverged at {workers} workers");
-}
-
-#[test]
 fn run_end_is_monotone_in_load() {
     // Saturated runs take longer to drain; the run loop must still
     // terminate thanks to the max_cycles cap.
     let mut cfg = SystemConfig::small(NetworkMode::NpNb);
     cfg.seed = 5;
     let mut sys = System::new(cfg, TrafficPattern::Complement, 0.9, plan());
-    let end = sys.run_with(NonZeroUsize::MIN, &mut |_| {});
+    let end = sys.run(&mut |_| {});
     assert!(end <= plan().max_cycles);
 }
 
@@ -398,9 +311,8 @@ fn assert_same_outcome(want: &Outcome, got: &Outcome, label: &str) {
 
 /// The equivalence table for the one run entry point. Every way of
 /// executing a point through [`RunPoint::execute`] — generated or replayed
-/// traffic × injection recording off or on × 1 or 2 board workers (and
-/// the `ERAPID_POINT_THREADS` value, which `verify.sh` sets to 2 and 8) —
-/// reproduces the reference run bit for bit, and every recording it makes
+/// traffic × injection recording off or on — reproduces the reference
+/// run bit for bit, and every recording it makes
 /// is byte-identical to the reference recording. A [`run_points`] batch at
 /// 1 and 2 threads matches per-point `execute`.
 #[test]
@@ -417,33 +329,27 @@ fn execute_paths_agree() {
     };
     let generated = |record| RunPoint::new(cfg(record), TrafficPattern::Complement, 0.5, plan());
 
-    let reference = generated(true).execute(one);
+    let reference = generated(true).execute();
     assert!(!reference.trace.records.is_empty(), "trace must be on");
     let recording = Arc::new(reference.recording.clone().expect("recording on"));
     assert!(!recording.entries.is_empty(), "recording must hold traffic");
     let recording_bytes = recording.to_binary();
 
-    let mut point_threads = vec![one, two];
-    if !point_threads.contains(&point_threads_from_env()) {
-        point_threads.push(point_threads_from_env());
-    }
     for replay in [false, true] {
         for record in [false, true] {
-            for &pt in &point_threads {
-                let label = format!("replay={replay} record={record} point_threads={pt}");
-                let point = if replay {
-                    RunPoint::replay(cfg(record), Arc::clone(&recording), plan())
-                } else {
-                    generated(record)
-                };
-                let out = point.execute(pt);
-                assert_same_outcome(&reference, &out, &label);
-                match &out.recording {
-                    None => assert!(!record, "{label}: recording missing"),
-                    Some(t) => {
-                        assert!(record, "{label}: recording without the flag");
-                        assert_eq!(t.to_binary(), recording_bytes, "{label}: recording bytes");
-                    }
+            let label = format!("replay={replay} record={record}");
+            let point = if replay {
+                RunPoint::replay(cfg(record), Arc::clone(&recording), plan())
+            } else {
+                generated(record)
+            };
+            let out = point.execute();
+            assert_same_outcome(&reference, &out, &label);
+            match &out.recording {
+                None => assert!(!record, "{label}: recording missing"),
+                Some(t) => {
+                    assert!(record, "{label}: recording without the flag");
+                    assert_eq!(t.to_binary(), recording_bytes, "{label}: recording bytes");
                 }
             }
         }
@@ -456,9 +362,9 @@ fn execute_paths_agree() {
             RunPoint::replay(cfg(false), Arc::clone(&recording), plan()),
         ]
     };
-    let singles: Vec<Outcome> = batch().into_iter().map(|p| p.execute(one)).collect();
+    let singles: Vec<Outcome> = batch().into_iter().map(|p| p.execute()).collect();
     for threads in [one, two] {
-        let outs = run_points(threads, one, batch());
+        let outs = run_points(threads, batch());
         assert_eq!(outs.len(), singles.len());
         for (i, (want, got)) in singles.iter().zip(&outs).enumerate() {
             let label = format!("run_points threads={threads} point {i}");

@@ -26,7 +26,6 @@ use erapid_suite::erapid_core::system::System;
 use erapid_suite::erapid_telemetry::TraceConfig;
 use erapid_suite::traffic::pattern::TrafficPattern;
 use erapid_suite::traffic::trace::InjectionTrace;
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
 /// One warm-up window, two measured, a hard cap past drain: long enough
@@ -104,7 +103,7 @@ fn fingerprint_of(sys: &System) -> Fingerprint {
 }
 
 fn fingerprint(mut sys: System) -> Fingerprint {
-    sys.run_with(NonZeroUsize::MIN, &mut |_| {});
+    sys.run(&mut |_| {});
     fingerprint_of(&sys)
 }
 
@@ -328,7 +327,7 @@ fn run_traced() -> (Fingerprint, u64, u64) {
     let mut cfg = SystemConfig::small(NetworkMode::PB);
     cfg.trace = TraceConfig::with_capacity(1 << 20);
     let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.5, golden_plan());
-    sys.run_with(NonZeroUsize::MIN, &mut |_| {});
+    sys.run(&mut |_| {});
     let records = sys.take_trace_records();
     assert_eq!(sys.trace_dropped(), 0, "trace ring overflowed; widen it");
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -354,8 +353,7 @@ fn regen_collective_fixture() {
     let mut cfg = SystemConfig::small(NetworkMode::NpNb);
     cfg.scenario = Some(ScenarioSpec::collective());
     cfg.record_injections = true;
-    let out =
-        RunPoint::new(cfg, TrafficPattern::Uniform, 0.6, golden_plan()).execute(NonZeroUsize::MIN);
+    let out = RunPoint::new(cfg, TrafficPattern::Uniform, 0.6, golden_plan()).execute();
     let (result, mut trace) = (out.result, out.recording.expect("recording on"));
     trace.meta.pattern = "collective".to_string();
     trace.meta.git_sha = "fixture".to_string();
@@ -951,113 +949,10 @@ fn controller_runs_match_pinned_fingerprints() {
     }
 }
 
-/// The sharded engine reproduces the controller pins exactly — the
-/// controller steps in the sequential prologue (DESIGN.md §15), so worker
-/// count must not perturb a single threshold move.
-#[test]
-fn sharded_controller_runs_match_pinned_fingerprints() {
-    let two = NonZeroUsize::new(2).unwrap();
-    let cases = controller_cases();
-    assert_eq!(cases.len(), CONTROLLER_PINS.len(), "pin table out of date");
-    for ((name, cfg), (pin_name, pin)) in cases.into_iter().zip(CONTROLLER_PINS) {
-        assert_eq!(&name, pin_name, "pin table order drifted");
-        let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.5, golden_plan());
-        sys.run_with(two, &mut |_| {});
-        assert_eq!(
-            &fingerprint_of(&sys),
-            pin,
-            "sharded controller fingerprint diverged for {name} at 2 workers"
-        );
-    }
-}
-
 #[test]
 fn traced_event_stream_matches_pin() {
     let (fp, count, hash) = run_traced();
     assert_eq!(fp, TRACED_PIN.0, "traced run fingerprint diverged");
     assert_eq!(count, TRACED_PIN.1, "trace event count diverged");
     assert_eq!(hash, TRACED_PIN.2, "trace event stream order diverged");
-}
-
-/// The board-sharded engine (DESIGN.md §12) must reproduce the *same*
-/// pins as the sequential engine — the pin tables above are shared, not
-/// re-captured. Every generated case runs at 2 workers; the heaviest B=8
-/// case additionally at 4 and 8 (more workers than cores on small CI
-/// boxes, exercising the yield path of the gate).
-#[test]
-fn sharded_generated_runs_match_pinned_fingerprints() {
-    let two = NonZeroUsize::new(2).unwrap();
-    let cases = generated_cases();
-    assert_eq!(cases.len(), GENERATED_PINS.len(), "pin table out of date");
-    for ((name, cfg, pattern, load), (pin_name, pin)) in cases.into_iter().zip(GENERATED_PINS) {
-        assert_eq!(&name, pin_name, "pin table order drifted");
-        let mut sys = System::new(cfg.clone(), pattern.clone(), load, golden_plan());
-        sys.run_with(two, &mut |_| {});
-        assert_eq!(
-            &fingerprint_of(&sys),
-            pin,
-            "sharded fingerprint diverged for {name} at 2 workers"
-        );
-        if name == "b8-P-B-complement" {
-            for workers in [4usize, 8] {
-                let mut sys = System::new(cfg.clone(), pattern.clone(), load, golden_plan());
-                sys.run_with(NonZeroUsize::new(workers).unwrap(), &mut |_| {});
-                assert_eq!(
-                    &fingerprint_of(&sys),
-                    pin,
-                    "sharded fingerprint diverged for {name} at {workers} workers"
-                );
-            }
-        }
-    }
-}
-
-/// Sharded fixture replays reproduce the sequential replay pins.
-#[test]
-fn sharded_fixture_replays_match_pinned_fingerprints_at_b8() {
-    let two = NonZeroUsize::new(2).unwrap();
-    let cases = replay_cases();
-    assert_eq!(cases.len(), REPLAY_PINS.len(), "pin table out of date");
-    for ((name, mode, fixture), (pin_name, pin)) in cases.into_iter().zip(REPLAY_PINS) {
-        assert_eq!(&name, pin_name, "pin table order drifted");
-        let trace = InjectionTrace::load(&fixture_path(fixture)).expect("fixture loads");
-        let mut sys =
-            System::with_trace(SystemConfig::paper64(mode), trace.replayer(), golden_plan());
-        sys.run_with(two, &mut |_| {});
-        assert_eq!(
-            &fingerprint_of(&sys),
-            pin,
-            "sharded replay fingerprint diverged for {name}"
-        );
-    }
-}
-
-/// The sharded engine emits the telemetry event stream in the exact pinned
-/// order — commit-phase replay of out-buffers must not reorder a single
-/// event relative to the sequential engine.
-#[test]
-fn sharded_traced_event_stream_matches_pin() {
-    for workers in [2usize, 4] {
-        let mut cfg = SystemConfig::small(NetworkMode::PB);
-        cfg.trace = TraceConfig::with_capacity(1 << 20);
-        let mut sys = System::new(cfg, TrafficPattern::Uniform, 0.5, golden_plan());
-        sys.run_with(NonZeroUsize::new(workers).unwrap(), &mut |_| {});
-        let records = sys.take_trace_records();
-        assert_eq!(sys.trace_dropped(), 0, "trace ring overflowed; widen it");
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for r in &records {
-            fnv(&mut h, &r.at.to_le_bytes());
-            fnv(&mut h, r.event.tag().as_bytes());
-        }
-        assert_eq!(
-            fingerprint_of(&sys),
-            TRACED_PIN.0,
-            "sharded traced fingerprint diverged at {workers} workers"
-        );
-        assert_eq!(records.len() as u64, TRACED_PIN.1, "event count diverged");
-        assert_eq!(
-            h, TRACED_PIN.2,
-            "event stream order diverged at {workers} workers"
-        );
-    }
 }

@@ -8,7 +8,6 @@ use erapid_suite::erapid_core::config::{NetworkMode, SystemConfig};
 use erapid_suite::erapid_core::experiment::RunResult;
 use erapid_suite::erapid_core::runner::RunPoint;
 use erapid_suite::traffic::pattern::TrafficPattern;
-use std::num::NonZeroUsize;
 
 fn quick_plan(window: u64) -> PhasePlan {
     PhasePlan::new(2 * window, 4 * window).with_max_cycles(20 * window)
@@ -17,9 +16,7 @@ fn quick_plan(window: u64) -> PhasePlan {
 fn run(mode: NetworkMode, pattern: TrafficPattern, load: f64) -> RunResult {
     let cfg = SystemConfig::paper64(mode);
     let plan = quick_plan(cfg.schedule.window);
-    RunPoint::new(cfg, pattern, load, plan)
-        .execute(NonZeroUsize::MIN)
-        .result
+    RunPoint::new(cfg, pattern, load, plan).execute().result
 }
 
 #[test]

@@ -61,10 +61,10 @@ fn final_lc_levels(sys: &System) -> Vec<u8> {
 fn replay_fixture(name: &str, mode: NetworkMode) -> (RunResult, Vec<u8>, u64) {
     let trace = Arc::new(InjectionTrace::load(&fixture_path(name)).expect("fixture loads"));
     let result = RunPoint::replay(SystemConfig::small(mode), Arc::clone(&trace), short_plan())
-        .execute(NonZeroUsize::MIN)
+        .execute()
         .result;
     let mut sys = System::with_trace(SystemConfig::small(mode), trace.replayer(), short_plan());
-    sys.run_with(NonZeroUsize::MIN, &mut |_| {});
+    sys.run(&mut |_| {});
     let delivered = sys.metrics().delivered_total;
     (result, final_lc_levels(&sys), delivered)
 }
@@ -81,7 +81,7 @@ fn regen_fixtures() {
     ] {
         let mut cfg = SystemConfig::small(NetworkMode::NpNb);
         cfg.record_injections = true;
-        let out = RunPoint::new(cfg, pattern, load, short_plan()).execute(NonZeroUsize::MIN);
+        let out = RunPoint::new(cfg, pattern, load, short_plan()).execute();
         let (result, mut trace) = (out.result, out.recording.expect("recording on"));
         trace.meta.git_sha = "fixture".to_string();
         trace.save(&fixture_path(name)).unwrap();
@@ -165,7 +165,7 @@ fn golden_fixtures_inject_fully_and_drain() {
         for mode in NetworkMode::all() {
             let mut sys =
                 System::with_trace(SystemConfig::small(mode), trace.replayer(), short_plan());
-            let end = sys.run_with(NonZeroUsize::MIN, &mut |_| {});
+            let end = sys.run(&mut |_| {});
             let due = trace.entries.iter().filter(|e| e.cycle <= end).count() as u64;
             assert_eq!(
                 sys.metrics().injected_total,
@@ -243,21 +243,19 @@ fn golden_complement_npb() {
 /// criterion of the replay harness.
 #[test]
 fn record_replay_reproduces_runresult_byte_identically() {
-    let one = NonZeroUsize::MIN;
     let cfg = |record: bool| {
         let mut cfg = SystemConfig::small(NetworkMode::PB);
         cfg.record_injections = record;
         cfg
     };
     let plain = RunPoint::new(cfg(false), TrafficPattern::Uniform, 0.4, short_plan())
-        .execute(one)
+        .execute()
         .result;
-    let recorded =
-        RunPoint::new(cfg(true), TrafficPattern::Uniform, 0.4, short_plan()).execute(one);
+    let recorded = RunPoint::new(cfg(true), TrafficPattern::Uniform, 0.4, short_plan()).execute();
     let trace = Arc::new(recorded.recording.expect("recording on"));
     assert_eq!(plain, recorded.result, "recording must not perturb the run");
     let replayed = RunPoint::replay(cfg(false), trace, short_plan())
-        .execute(one)
+        .execute()
         .result;
     assert_eq!(
         replayed, recorded.result,
@@ -281,8 +279,8 @@ fn fixture_replay_parallel_matches_sequential() {
             })
             .collect()
     };
-    let par = run_points(NonZeroUsize::new(4).unwrap(), NonZeroUsize::MIN, points());
-    let seq = run_points(NonZeroUsize::MIN, NonZeroUsize::MIN, points());
+    let par = run_points(NonZeroUsize::new(4).unwrap(), points());
+    let seq = run_points(NonZeroUsize::MIN, points());
     assert_eq!(par.len(), seq.len());
     for (mode, (p, s)) in NetworkMode::all().iter().zip(par.iter().zip(&seq)) {
         assert_eq!(p.result, s.result, "{}: RunResult diverged", mode.name());

@@ -12,7 +12,6 @@ use erapid_suite::erapid_core::system::System;
 use erapid_suite::photonics::rwa::StaticRwa;
 use erapid_suite::photonics::wavelength::BoardId;
 use erapid_suite::traffic::pattern::TrafficPattern;
-use std::num::NonZeroUsize;
 
 const FAULT_AT: u64 = 4000;
 
@@ -40,7 +39,7 @@ fn run_with_fault(mode: NetworkMode, load: f64) -> (u64, u64, u64) {
         sys.step();
     }
     sys.fail_receiver(3, w);
-    sys.run_with(NonZeroUsize::MIN, &mut |_| {});
+    sys.run(&mut |_| {});
     let m = sys.metrics();
     (
         m.delivered_total,
@@ -76,7 +75,7 @@ fn reconfigured_network_keeps_comparable_delivery_volume() {
     let (delivered_ok, _, _) = {
         let cfg = SystemConfig::small(NetworkMode::NpB);
         let mut sys = System::new(cfg, TrafficPattern::Complement, 0.3, plan());
-        sys.run_with(NonZeroUsize::MIN, &mut |_| {});
+        sys.run(&mut |_| {});
         (sys.metrics().delivered_total, 0u64, 0u64)
     };
     let (delivered_fault, undrained, _) = run_with_fault(NetworkMode::NpB, 0.3);
@@ -103,7 +102,7 @@ fn token_loss_round_completes_via_retry_instead_of_deadlocking() {
         0.4,
         PhasePlan::new(2000, 6000).with_max_cycles(40_000),
     )
-    .execute(NonZeroUsize::MIN)
+    .execute()
     .result;
     cfg.faults = FaultPlan::new();
     let clean = RunPoint::new(
@@ -112,7 +111,7 @@ fn token_loss_round_completes_via_retry_instead_of_deadlocking() {
         0.4,
         PhasePlan::new(2000, 6000).with_max_cycles(40_000),
     )
-    .execute(NonZeroUsize::MIN)
+    .execute()
     .result;
     assert!(
         faulted.ls_retries >= 1,
@@ -137,7 +136,7 @@ fn throughput_recovers_after_receiver_repair() {
     let mut cfg = SystemConfig::small(NetworkMode::NpB);
     cfg.faults = outage;
     let repaired = RunPoint::new(cfg, TrafficPattern::Complement, 0.3, plan)
-        .execute(NonZeroUsize::MIN)
+        .execute()
         .result;
     let clean = RunPoint::new(
         SystemConfig::small(NetworkMode::NpB),
@@ -145,7 +144,7 @@ fn throughput_recovers_after_receiver_repair() {
         0.3,
         plan,
     )
-    .execute(NonZeroUsize::MIN)
+    .execute()
     .result;
     assert_eq!(repaired.undrained, 0, "no packet may stay stuck");
     let rel = (repaired.throughput - clean.throughput).abs() / clean.throughput;
@@ -175,7 +174,7 @@ fn repair_restores_the_static_network_too() {
         sys.step();
     }
     sys.repair_receiver(3, w);
-    sys.run_with(NonZeroUsize::MIN, &mut |_| {});
+    sys.run(&mut |_| {});
     let m = sys.metrics();
     assert_eq!(
         m.tracker.outstanding(),
@@ -197,7 +196,7 @@ fn conservation_holds_across_failures() {
         }
         sys.fail_receiver(3, 1);
         sys.fail_receiver(2, 2);
-        sys.run_with(NonZeroUsize::MIN, &mut |_| {});
+        sys.run(&mut |_| {});
         let m = sys.metrics();
         assert!(m.delivered_total <= m.injected_total);
         assert!(m.delivered_total > 0);

@@ -56,8 +56,8 @@ fn batch() -> Vec<RunPoint> {
 #[test]
 fn traces_are_byte_identical_sequential_vs_parallel() {
     let one = NonZeroUsize::MIN;
-    let seq = run_points(one, one, batch());
-    let par = run_points(NonZeroUsize::new(4).unwrap(), one, batch());
+    let seq = run_points(one, batch());
+    let par = run_points(NonZeroUsize::new(4).unwrap(), batch());
     assert_eq!(seq.len(), par.len());
     for (i, (s, p)) in seq.iter().zip(&par).enumerate() {
         let (ts, tp) = (&s.trace, &p.trace);
@@ -83,9 +83,9 @@ fn tracing_does_not_perturb_results() {
     let traced = traced_point(NetworkMode::PB, ControlPlane::MessageLevel, 0.5);
     let mut plain = traced.clone();
     plain.cfg.trace = TraceConfig::off();
-    let traced = traced.execute(NonZeroUsize::MIN);
+    let traced = traced.execute();
     let (r_traced, trace) = (traced.result, traced.trace);
-    let r_plain = plain.execute(NonZeroUsize::MIN).result;
+    let r_plain = plain.execute().result;
     assert_eq!(r_traced, r_plain, "tracing must observe, never perturb");
     assert!(!trace.records.is_empty());
     assert!(!trace.windows.is_empty());
@@ -96,9 +96,9 @@ fn trace_off_returns_empty_trace_and_same_result() {
     let on = traced_point(NetworkMode::PB, ControlPlane::AnalyticLatency, 0.4);
     let mut off = on.clone();
     off.cfg.trace = TraceConfig::off();
-    let off = off.execute(NonZeroUsize::MIN);
+    let off = off.execute();
     let trace = off.trace;
-    assert_eq!(off.result, on.execute(NonZeroUsize::MIN).result);
+    assert_eq!(off.result, on.execute().result);
     assert!(trace.records.is_empty());
     assert!(trace.windows.is_empty());
     assert_eq!(trace.dropped, 0);
@@ -109,7 +109,7 @@ fn trace_off_returns_empty_trace_and_same_result() {
 #[test]
 fn latency_and_tx_wait_histograms_are_registered_and_populated() {
     let p = traced_point(NetworkMode::PB, ControlPlane::AnalyticLatency, 0.5);
-    let out = p.execute(NonZeroUsize::MIN);
+    let out = p.execute();
     let (r, trace) = (out.result, out.trace);
     let names: Vec<&str> = trace
         .hist_summaries
@@ -139,7 +139,7 @@ fn latency_and_tx_wait_histograms_are_registered_and_populated() {
 #[test]
 fn faulted_trace_contains_every_event_family() {
     let p = traced_point(NetworkMode::PB, ControlPlane::MessageLevel, 0.5);
-    let out = p.execute(NonZeroUsize::MIN);
+    let out = p.execute();
     let (_, trace) = (out.result, out.trace);
     let tags: std::collections::BTreeSet<&str> =
         trace.records.iter().map(|r| r.event.tag()).collect();
